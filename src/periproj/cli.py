@@ -179,10 +179,7 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def _get(section, key, default):
-    try:
-        value = section.get(key, default)
-    except AttributeError:  # plain dict fallback
-        value = section.get(key, default) if hasattr(section, "get") else default
+    value = section.get(key, default)
     return value if value is not None else default
 
 
@@ -206,6 +203,8 @@ def run(config: RunConfig) -> int:
         return 2
 
     spec = config.group
+    results: list[SuiteResult] = []
+    violations = 0
     try:
         backend = (
             ExactBackend(spec)
@@ -215,13 +214,6 @@ def run(config: RunConfig) -> int:
         hat_backend = None
         if spec.peripheral_indices:
             hat_backend = ConedOffBackend(spec, radius=config.hat_radius, cap=config.ball_cap)
-    except BallBudgetError as exc:
-        print(f"resource budget exceeded: {exc}", file=sys.stderr)
-        return 3
-
-    results: list[SuiteResult] = []
-    violations = 0
-    try:
         for suite in config.suites:
             runner = _SUITE_RUNNERS[suite]
             result = runner(config, spec, backend, hat_backend)
@@ -233,6 +225,12 @@ def run(config: RunConfig) -> int:
     except BallBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except OutOfRangeError as exc:
+        print(f"certification budget exceeded: {exc}", file=sys.stderr)
+        return 3
+    except PeriprojError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     for result in results:

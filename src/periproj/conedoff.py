@@ -31,7 +31,7 @@ from .group import (
     sort_key,
 )
 from .metric import VertexPath
-from .peripheral import Coset, coset_of, coset_str, member_coord
+from .peripheral import Coset, coset_of, coset_str, group_by_coset, member_coord
 
 CAY = "cay"
 CONE = "cone"
@@ -151,10 +151,7 @@ class ConedOffBackend:
     def _build_window(self, radius: int, cap: int) -> None:
         spec = self.spec
         self.gtable = ball(spec, radius, cap)
-        members: dict[Coset, list[Element]] = {}
-        for g in self.gtable:
-            for i in spec.peripheral_indices:
-                members.setdefault(coset_of(spec, g, i), []).append(g)
+        members = group_by_coset(spec, self.gtable)
         for lst in members.values():
             lst.sort(key=lambda p: sort_key(spec, p))
         self._members = members

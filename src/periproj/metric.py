@@ -27,6 +27,7 @@ from .group import (
     mul_syllable,
     syllable_length,
 )
+from .peripheral import Coset, group_by_coset
 
 
 @dataclass
@@ -110,16 +111,15 @@ class BfsBackend:
         self._moves = [
             (label, g, inv(spec, g)) for label, g in spec.moves()
         ]
-        self._shells: list[list[Element]] | None = None
+        self._coset_index: dict[Coset, list[Element]] | None = None
 
-    def shells(self) -> list[list[Element]]:
-        """Ball elements grouped by distance, in BFS order (cached)."""
-        if self._shells is None:
-            shells: list[list[Element]] = [[] for _ in range(self.radius + 1)]
-            for g, d in self.table.items():
-                shells[d].append(g)
-            self._shells = shells
-        return self._shells
+    def coset_members(self, coset: Coset) -> list[Element]:
+        """Ball elements lying in ``coset``, in BFS order (nondecreasing
+        distance).  The index of all cosets is built on the first call, so a
+        backend used only for distances never pays for it."""
+        if self._coset_index is None:
+            self._coset_index = group_by_coset(self.spec, self.table)
+        return self._coset_index.get(coset, [])
 
     def distance(self, x: Element, y: Element) -> int:
         w = mul(self.spec, inv(self.spec, x), y)

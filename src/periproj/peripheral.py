@@ -11,7 +11,8 @@ Three projection routes are provided:
   This is the unique distance-minimizing point in that regime.
 * ``proj_bruteforce``: the certified set of distance minimizers over the
   coset, for any backend; the certificate guarantees the true minimum was
-  seen, or OutOfRangeError is raised.
+  seen, or OutOfRangeError is raised.  With a BFS backend the minimizers
+  are the first ball members of x^-1 P in BFS order, translated by x.
 * ``proj_entrypoint`` / ``proj_conedoff``: first path vertex entering a
   neighborhood of the coset, along a metric geodesic or a coned-off geodesic.
 """
@@ -185,18 +186,26 @@ def _exact_coset_minimizers(spec: GroupSpec, P: Coset, x: Element):
 
 
 def _bfs_coset_minimizers(spec: GroupSpec, backend, P: Coset, x: Element, limit: int):
-    """Scan the backend's distance shells around x for coset members."""
-    i = P.factor_index
-    for d, shell in enumerate(backend.shells()):
-        if d >= limit:
+    """The nearest points x*g of P with d(x, x*g) = |g| < ``limit``.
+
+    x*g lies in P exactly when g lies in the coset x^-1 P, and the backend
+    lists the ball members of that coset in BFS order, so the first members
+    listed are the minimizers, in the order a scan of the ball's distance
+    shells would meet them.
+    """
+    table = backend.table
+    members = backend.coset_members(
+        coset_of(spec, mul(spec, inv(spec, x), P.rep), P.factor_index)
+    )
+    found: list[Element] = []
+    for g in members:
+        d = table[g]
+        if d >= limit or (found and d > best):
             break
-        found = [
-            p
-            for g in shell
-            if contains(spec, P, p := mul(spec, x, g))
-        ]
-        if found:
-            return d, found
+        best = d
+        found.append(mul(spec, x, g))
+    if found:
+        return best, found
     raise OutOfRangeError(
         f"no coset point within {min(limit, backend.radius + 1) - 1} of x"
     )
@@ -265,6 +274,16 @@ def separating_cosets(spec: GroupSpec, x: Element, y: Element) -> list[Coset]:
             out.append(coset_of(spec, prefix, fi))
         prefix = mul_syllable(spec, prefix, fi, coord)
     return out
+
+
+def group_by_coset(spec: GroupSpec, elements) -> dict[Coset, list[Element]]:
+    """Every peripheral coset meeting ``elements``, mapped to the elements
+    lying in it, in iteration order."""
+    members: dict[Coset, list[Element]] = {}
+    for g in elements:
+        for i in spec.peripheral_indices:
+            members.setdefault(coset_of(spec, g, i), []).append(g)
+    return members
 
 
 def cosets_meeting_ball(spec: GroupSpec, elements) -> list[Coset]:

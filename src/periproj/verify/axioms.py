@@ -59,21 +59,14 @@ class ApReport:
 
 def _coset_points(spec: GroupSpec, backend, P: Coset, level_cap: int):
     """Sampled points of P: factor levels up to ``level_cap`` in exact mode,
-    all window members in BFS mode."""
+    all ball members in BFS order in BFS mode."""
     if backend.is_exact:
         f = spec.factors[P.factor_index]
         pts = []
         for level in range(level_cap + 1):
             pts.extend(coset_member(spec, P, h) for h in f.elements_of_length(level))
         return pts
-    out = []
-    for g in backend.table:
-        if g and g[-1][0] == P.factor_index:
-            if g[:-1] == P.rep:
-                out.append(g)
-        elif g == P.rep:
-            out.append(g)
-    return out
+    return backend.coset_members(P)
 
 
 def _coset_distance(spec: GroupSpec, backend, P: Coset, x) -> int:

@@ -6,8 +6,9 @@ from importlib import resources
 
 import pytest
 
+from periproj import cli
 from periproj.cli import main, parse_config
-from periproj.errors import ConfigError
+from periproj.errors import ConfigError, OutOfRangeError
 
 
 def config_path(name: str) -> str:
@@ -179,3 +180,37 @@ def test_coned_off_suites_need_peripheral(tmp_path):
         "[run]\nsuites = formula\n"
     )
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+
+
+def test_unsupported_metric_in_run_exit_two(tmp_path, capsys):
+    # extended generators with an infinite peripheral factor: the coned-off
+    # window cannot certify distances, which is a config error, not a violation
+    cfg = tmp_path / "zxz2-ext.cfg"
+    cfg.write_text(
+        "[group]\n"
+        "factors =\n    z t\n    z2 u v\n"
+        "peripheral = 1\n"
+        "extra_generators =\n    tu: t u\n"
+        "[backend]\nmode = bfs\nradius = 3\n"
+        "[run]\nsuites = oracle\n"
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "finite peripheral factors" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "rep").exists()
+
+
+def test_uncertified_query_in_run_exit_three(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise OutOfRangeError("pair at distance > 2: not certified by this backend")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "oracle", refuse)
+    code = main(
+        ["run", "--config", config_path("c2c3.cfg"), "--suite", "oracle",
+         "--out", str(tmp_path / "rep")]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "certification budget exceeded: pair at distance > 2: not certified by this backend\n"
+    )

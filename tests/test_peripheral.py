@@ -5,6 +5,7 @@ import random
 import pytest
 
 from periproj import (
+    BfsBackend,
     InvalidFactorError,
     OutOfRangeError,
     UnsupportedMetricError,
@@ -21,8 +22,10 @@ from periproj import (
     projection,
     separating_cosets,
 )
-from periproj.group import IDENTITY
-from periproj.peripheral import contains, parse_coset
+from periproj import metric
+from periproj.group import IDENTITY, mul
+from periproj.peripheral import _bfs_coset_minimizers, contains, parse_coset
+from periproj.verify.axioms import _coset_points
 
 
 def test_coset_of_strips_trailing(zxz2):
@@ -117,6 +120,79 @@ def test_extended_minimizing_set_diameter(c2c3_ext, ext_bfs8):
         default=0,
     )
     assert diam <= 2 * C
+
+
+def _shell_scan_reference(spec, backend, cosets, x):
+    """The scan the coset index replaced, run for many cosets at once: walk
+    the ball's distance shells around x in BFS order; each coset's minimizers
+    are its points x*g in the first shell that meets it.  Returns
+    {coset: (d, points)} for the cosets met within the ball."""
+    shells = [[] for _ in range(backend.radius + 1)]
+    for g, d in backend.table.items():
+        shells[d].append(g)
+    wanted = set(cosets)
+    first = {}
+    for d, shell in enumerate(shells):
+        hits = {}
+        for g in shell:
+            p = mul(spec, x, g)
+            # contains(spec, P, p) for every wanted P, one lookup per factor
+            for i in spec.peripheral_indices:
+                P = coset_of(spec, p, i)
+                if P in wanted:
+                    hits.setdefault(P, []).append(p)
+        for P, points in hits.items():
+            first.setdefault(P, (d, points))
+    return first
+
+
+@pytest.mark.parametrize("name", ["ext_bfs8", "zxz2_bfs6"])
+def test_bfs_minimizers_match_shell_scan(request, name):
+    # finite C2/C3 cosets and infinite Z^2 cosets: same minimum, same points
+    # in the same order, or the same refusal, at every search limit
+    backend = request.getfixturevalue(name)
+    spec = backend.spec
+    cosets = cosets_meeting_ball(spec, ball(spec, 3))
+    for P in cosets:
+        assert _coset_points(spec, backend, P, 0) == [
+            g for g in backend.table if contains(spec, P, g)
+        ]
+    for x in ball(spec, 4):
+        reference = _shell_scan_reference(spec, backend, cosets, x)
+        for P in cosets:
+            for limit in range(1, backend.radius + 2):
+                expected = reference.get(P)
+                if expected is not None and expected[0] < limit:
+                    assert _bfs_coset_minimizers(spec, backend, P, x, limit) == expected
+                else:
+                    message = f"no coset point within {limit - 1} of x"
+                    with pytest.raises(OutOfRangeError, match=f"^{message}$"):
+                        _bfs_coset_minimizers(spec, backend, P, x, limit)
+
+
+def test_bfs_coset_index_is_lazy(zxz2, monkeypatch):
+    # a backend used only for distances (the oracle's radius-8 table) must
+    # not pay for the coset index; the first coset query builds it once
+    builds = []
+    real = metric.group_by_coset
+
+    def counting(spec, elements):
+        builds.append(1)
+        return real(spec, elements)
+
+    monkeypatch.setattr(metric, "group_by_coset", counting)
+    backend = BfsBackend(zxz2, 4)
+    elems = list(ball(zxz2, 2))
+    for x in elems:
+        for y in elems:
+            backend.distance(x, y)
+        backend.geodesic(IDENTITY, x)
+    assert len(backend.table) > len(elems)
+    assert builds == []
+    P = coset_of(zxz2, parse_element(zxz2, "t"), 1)
+    assert dist_to_coset(zxz2, backend, P, IDENTITY) == 1
+    assert dist_to_coset(zxz2, backend, P, parse_element(zxz2, "t^-1")) == 2
+    assert builds == [1]
 
 
 def test_dist_to_coset(zxz2, zxz2_exact, zxz2_bfs6):
