@@ -6,7 +6,8 @@ a structured-text summary.  Identical (config, seed) pairs produce
 byte-identical reports: all sampling is seeded and nothing timestamped.
 
 Exit codes: 0 clean; 1 theorem violation; 2 config error; 3 resource or
-certification budget exceeded.
+certification budget exceeded; 4 internal error (an unexpected exception,
+with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import csv
 import json
 import random
 import sys
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -231,6 +233,10 @@ def run(config: RunConfig) -> int:
     except PeriprojError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     for result in results:

@@ -10,11 +10,18 @@ Two interchangeable backends expose ``distance`` / ``geodesic``:
   the fly, never truncated); a lookup outside the ball raises OutOfRangeError
   instead of guessing.  Left-invariance reduces d(x, y) to a single table
   lookup of ``x^-1 y``.
+
+Both also answer ``coset_distances(xs, P, coords)``: the block of d(x, rep*h)
+for every x in ``xs`` and every factor coordinate h of the coset P, as an
+int32 array with -1 where a value is not certified.  The scalar ``distance``
+is the reference it is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import OutOfRangeError, UnsupportedMetricError
 from .group import (
@@ -27,7 +34,7 @@ from .group import (
     mul_syllable,
     syllable_length,
 )
-from .peripheral import Coset, group_by_coset
+from .peripheral import Coset, coset_member, group_by_coset
 
 
 @dataclass
@@ -90,6 +97,34 @@ class ExactBackend:
     def distance(self, x: Element, y: Element) -> int:
         return syllable_length(self.spec, mul(self.spec, inv(self.spec, x), y))
 
+    def coset_distances(self, xs, P: Coset, coords) -> np.ndarray:
+        """d(x, rep*h) for x in ``xs`` (rows) and h in ``coords`` (columns).
+
+        Write x^-1 rep = w' s with s its trailing P-factor coordinate (or the
+        identity).  Then x^-1 rep h = w' (s h) in normal form, so the distance
+        is |w'| + len_f(s h), read from a table over the distinct s.
+        """
+        spec = self.spec
+        i = P.factor_index
+        f = spec.factors[i]
+        base = np.empty(len(xs), dtype=np.int32)
+        sid = np.empty(len(xs), dtype=np.intp)
+        s_ids: dict = {}
+        for k, x in enumerate(xs):
+            w = mul(spec, inv(spec, x), P.rep)
+            if w and w[-1][0] == i:
+                s = w[-1][1]
+                w = w[:-1]
+            else:
+                s = f.identity
+            base[k] = syllable_length(spec, w)
+            sid[k] = s_ids.setdefault(s, len(s_ids))
+        lengths = np.array(
+            [[f.length(f.mul(s, h)) for h in coords] for s in s_ids],
+            dtype=np.int32,
+        ).reshape(len(s_ids), len(coords))
+        return base[:, None] + lengths[sid]
+
     def geodesic(self, x: Element, y: Element) -> VertexPath:
         return geodesic_exact(self.spec, x, y)
 
@@ -129,6 +164,18 @@ class BfsBackend:
                 f"pair at distance > {self.radius}: not certified by this backend"
             )
         return d
+
+    def coset_distances(self, xs, P: Coset, coords) -> np.ndarray:
+        """d(x, rep*h) for x in ``xs`` (rows) and h in ``coords`` (columns),
+        one table lookup of x^-1 rep h each; -1 outside the ball."""
+        spec = self.spec
+        table = self.table
+        pts = [coset_member(spec, P, h) for h in coords]
+        out = np.empty((len(xs), len(pts)), dtype=np.int32)
+        for k, x in enumerate(xs):
+            xi = inv(spec, x)
+            out[k] = [table.get(mul(spec, xi, p), -1) for p in pts]
+        return out
 
     def geodesic(self, x: Element, y: Element) -> VertexPath:
         """Greedy geodesic: first move (in generating-set order) that decreases distance."""

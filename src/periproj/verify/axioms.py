@@ -33,6 +33,7 @@ from ..peripheral import (
     coset_member,
     coset_str,
     cosets_meeting_ball,
+    member_coord,
     projection,
 )
 
@@ -109,7 +110,7 @@ def check_ap_axioms(
                     row[j] = d
 
     for P in cosets:
-        pts = _coset_points(spec, backend, P, level_cap)
+        coords = [member_coord(spec, P, p) for p in _coset_points(spec, backend, P, level_cap)]
         # canonical projection of every sample point, None when uncertifiable
         proj_pts: list = []
         for x in xs:
@@ -151,7 +152,7 @@ def check_ap_axioms(
                 except OutOfRangeError:
                     skipped += 1
 
-        _ap1(spec, backend, P, xs, proj_pts, dxpi, pts, constants, witnesses, examined)
+        _ap1(spec, backend, P, xs, pid, upts, dxpi, coords, constants, witnesses, examined)
         _ap2(spec, P, xs, pid, pdist, dmat, dP, constants, witnesses, examined)
         _ap1p(spec, P, xs, proj_pts, dxpi, dP, constants, witnesses, examined)
         _ap2p(spec, P, xs, pid, pdist, dmat, dxpi, constants, witnesses, examined)
@@ -175,30 +176,28 @@ def check_ap_axioms(
     return report
 
 
-def _ap1(spec, backend, P, xs, proj_pts, dxpi, pts, constants, witnesses, examined):
-    best = constants["ap1"]
-    for i, x in enumerate(xs):
-        pi = proj_pts[i]
-        if pi is None:
-            continue
-        base = int(dxpi[i])
-        for p in pts:
-            try:
-                d_pip = backend.distance(pi, p)
-                d_xp = backend.distance(x, p)
-            except OutOfRangeError:
-                continue
-            examined["ap1"] += 1
-            slack = base + d_pip - d_xp
-            if slack > best:
-                best = slack
-                witnesses["ap1"] = {
-                    "x": element_str(spec, x),
-                    "p": element_str(spec, p),
-                    "coset": coset_str(spec, P),
-                    "slack": slack,
-                }
-    constants["ap1"] = best
+def _ap1(spec, backend, P, xs, pid, upts, dxpi, coords, constants, witnesses, examined):
+    """Slack d(x, pi(x)) + d(pi(x), p) - d(x, p) over every certified pair
+    (x, p), one block per coset; the witness is the first maximum in
+    row-major (x, then p) order."""
+    rows = np.flatnonzero(pid >= 0)
+    if not len(rows) or not coords:
+        return
+    d_xp = backend.coset_distances([xs[r] for r in rows], P, coords)
+    d_pip = backend.coset_distances(upts, P, coords)[pid[rows]]
+    ok = (d_xp >= 0) & (d_pip >= 0)
+    examined["ap1"] += int(ok.sum())
+    slack = np.where(ok, dxpi[rows][:, None] + d_pip - d_xp, np.iinfo(np.int32).min)
+    a, b = np.unravel_index(int(slack.argmax()), slack.shape)
+    worst = int(slack[a, b])
+    if worst > constants["ap1"]:
+        constants["ap1"] = worst
+        witnesses["ap1"] = {
+            "x": element_str(spec, xs[rows[a]]),
+            "p": element_str(spec, coset_member(spec, P, coords[b])),
+            "coset": coset_str(spec, P),
+            "slack": worst,
+        }
 
 
 def _ap2(spec, P, xs, pid, pdist, dmat, dP, constants, witnesses, examined):

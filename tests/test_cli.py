@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -214,3 +217,42 @@ def test_uncertified_query_in_run_exit_three(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "certification budget exceeded: pair at distance > 2: not certified by this backend\n"
     )
+
+
+def test_unexpected_exception_in_run_exit_four(tmp_path, capsys, monkeypatch):
+    # a bug is not a theorem violation: exit 4 with the traceback on stderr
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "oracle", crash)
+    code = main(
+        ["run", "--config", config_path("c2c3.cfg"), "--suite", "oracle",
+         "--out", str(tmp_path / "rep")]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "RuntimeError: boom\n" in err
+    assert err.endswith("internal error: RuntimeError('boom')\n")
+    assert not (tmp_path / "rep").exists()
+
+
+def test_bfs_reports_identical_across_hash_seeds(tmp_path):
+    # the reports must not depend on str hashing, which PYTHONHASHSEED salts
+    outs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"hashseed{seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "periproj.cli", "run",
+             "--config", config_path("c2c3-ext.cfg"), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "ap.csv" in names and "summary.txt" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

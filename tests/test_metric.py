@@ -1,12 +1,17 @@
 """Exact vs. BFS metrics, geodesics, quasi-geodesic fitting, enumeration."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from periproj import (
+    CyclicFactor,
+    ExactBackend,
+    GroupSpec,
     OutOfRangeError,
+    TableFactor,
     UnsupportedMetricError,
     VertexPath,
     ball,
@@ -20,6 +25,7 @@ from periproj import (
     random_element,
 )
 from periproj.group import IDENTITY
+from periproj.peripheral import coset_member, cosets_meeting_ball
 
 
 def test_dist_exact_example(zxz2, zxz2_bfs6):
@@ -153,3 +159,40 @@ def test_enumerate_geodesics_cap(zxz2, zxz2_exact):
     y = parse_element(zxz2, "u^2 v^2")
     paths, truncated = enumerate_geodesics(zxz2_exact, IDENTITY, y, 3)
     assert truncated and len(paths) == 3
+
+
+@pytest.fixture(scope="module")
+def s3c2_exact():
+    # a non-abelian peripheral factor, where s*h and h*s differ
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(q[p[i]] for i in range(3))] for q in perms] for p in perms]
+    s3 = TableFactor(table, {"s": index[(1, 0, 2)], "r": index[(1, 2, 0)]}, peripheral=True)
+    return ExactBackend(GroupSpec([s3, CyclicFactor(2, "c")], name="s3c2"))
+
+
+@pytest.mark.parametrize(
+    "name, sample_radius",
+    [("c2c3_exact", 4), ("s3c2_exact", 4), ("zxz2_exact", 4), ("ext_bfs8", 6), ("zxz2_bfs6", 3)],
+)
+def test_coset_distances_match_scalar(request, name, sample_radius):
+    # the block kernel equals the scalar distance on every certified pair,
+    # and reads -1 exactly where the scalar path refuses
+    backend = request.getfixturevalue(name)
+    spec = backend.spec
+    xs = list(ball(spec, sample_radius))
+    refused = 0
+    for P in cosets_meeting_ball(spec, ball(spec, 3)):
+        f = spec.factors[P.factor_index]
+        coords = [h for level in range(5) for h in f.elements_of_length(level)]
+        block = backend.coset_distances(xs, P, coords)
+        assert block.shape == (len(xs), len(coords)) and block.dtype.name == "int32"
+        for x, row in zip(xs, block.tolist()):
+            for h, got in zip(coords, row):
+                try:
+                    expected = backend.distance(x, coset_member(spec, P, h))
+                except OutOfRangeError:
+                    expected = -1
+                    refused += 1
+                assert got == expected
+    assert (refused > 0) == (not backend.is_exact)

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from periproj import parse_element
-from periproj.errors import TheoremViolationError
-from periproj.group import IDENTITY
+from periproj.errors import OutOfRangeError, TheoremViolationError
+from periproj.group import IDENTITY, element_str
+from periproj.peripheral import coset_member, coset_str
+from periproj.verify import axioms
 from periproj.verify import (
     SamplePlan,
     check_ap_axioms,
@@ -41,6 +43,54 @@ def test_ap_extended_positive_constant(c2c3_ext, ext_bfs8):
     assert report.projection_constant > 0
     assert all(v <= 8 for v in report.constants.values())
     assert all(ok for _, _, ok in report.equivalence.values())
+
+
+def _scalar_ap1(spec, backend, P, xs, pid, upts, dxpi, coords, constants, witnesses, examined):
+    """Reference for the block ``_ap1``: the pairwise sweep with scalar
+    distances, strict improvement in (x, p) order."""
+    proj_pts = [upts[k] if k >= 0 else None for k in pid]
+    pts = [coset_member(spec, P, h) for h in coords]
+    best = constants["ap1"]
+    for i, x in enumerate(xs):
+        pi = proj_pts[i]
+        if pi is None:
+            continue
+        base = int(dxpi[i])
+        for p in pts:
+            try:
+                d_pip = backend.distance(pi, p)
+                d_xp = backend.distance(x, p)
+            except OutOfRangeError:
+                continue
+            examined["ap1"] += 1
+            slack = base + d_pip - d_xp
+            if slack > best:
+                best = slack
+                witnesses["ap1"] = {
+                    "x": element_str(spec, x),
+                    "p": element_str(spec, p),
+                    "coset": coset_str(spec, P),
+                    "slack": slack,
+                }
+    constants["ap1"] = best
+
+
+@pytest.mark.parametrize(
+    "spec_name, backend_name, radii",
+    [("c2c3_ext", "ext_bfs8", (6, 3)), ("zxz2", "zxz2_exact", (3, 2))],
+    ids=["c2c3_ext", "zxz2"],
+)
+def test_ap1_block_matches_scalar_sweep(request, monkeypatch, spec_name, backend_name, radii):
+    spec = request.getfixturevalue(spec_name)
+    backend = request.getfixturevalue(backend_name)
+    block = check_ap_axioms(spec, backend, *radii)
+    monkeypatch.setattr(axioms, "_ap1", _scalar_ap1)
+    scalar = check_ap_axioms(spec, backend, *radii)
+    assert block.constants["ap1"] == scalar.constants["ap1"]
+    assert block.witnesses.get("ap1") == scalar.witnesses.get("ap1")
+    assert block.examined["ap1"] == scalar.examined["ap1"] > 0
+    if backend_name == "ext_bfs8":
+        assert block.constants["ap1"] > 0 and "ap1" in block.witnesses
 
 
 def test_ap_in_coset_slack_zero(zxz2, zxz2_exact):
