@@ -34,8 +34,6 @@ from .metric import (
     BfsBackend,
     ExactBackend,
     VertexPath,
-    dist_bfs,
-    dist_exact,
     enumerate_geodesics,
     geodesic_exact,
     quasigeodesic_constants,

@@ -256,21 +256,17 @@ def _parse_token(spec: GroupSpec, token: str, label_map) -> Syllable:
 
 
 def _power_coord(f: Factor, gen_pos: int, exp: int):
-    if f.kind == "cyclic":
-        return exp % f.n
-    if f.kind == "z":
-        return exp
-    if f.kind == "z2":
-        return (exp, 0) if gen_pos == 0 else (0, exp)
-    # table: repeated multiplication of the generator (or its inverse)
-    label = f.labels[gen_pos]
-    g = dict(f._generators())[label]
+    """The coordinate of generator ``gen_pos`` raised to ``exp``, by
+    square-and-multiply over the factor's own ``mul`` and ``inv``."""
+    g = dict(f._generators())[f.labels[gen_pos]]
     if exp < 0:
-        g = f.inv(g)
-        exp = -exp
+        g, exp = f.inv(g), -exp
     acc = f.identity
-    for _ in range(exp):
-        acc = f.mul(acc, g)
+    while exp:
+        if exp & 1:
+            acc = f.mul(acc, g)
+        g = f.mul(g, g)
+        exp >>= 1
     return acc
 
 

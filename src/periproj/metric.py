@@ -1,6 +1,6 @@
 """Word metrics and geodesics.
 
-Two interchangeable backends expose ``distance`` / ``geodesic``:
+Two interchangeable backends answer the same metric interface:
 
 * ``ExactBackend``: closed-form tree-of-spaces metric for the standard
   generating set: the distance is the sum of factor word lengths over the
@@ -11,10 +11,12 @@ Two interchangeable backends expose ``distance`` / ``geodesic``:
   instead of guessing.  Left-invariance reduces d(x, y) to a single table
   lookup of ``x^-1 y``.
 
-Both also answer ``coset_distances(xs, P, coords)``: the block of d(x, rep*h)
-for every x in ``xs`` and every factor coordinate h of the coset P, as an
-int32 array with -1 where a value is not certified.  The scalar ``distance``
-is the reference it is tested against.
+The interface: ``distance`` and ``geodesic``; the blocks ``distance_block(xs,
+ys)`` and ``coset_distances(xs, P, coords)`` as int32 arrays with -1 where a
+value is not certified (the scalar ``distance`` is the reference they are
+tested against); and the coset queries ``coset_points``,
+``coset_minimizers``, ``project`` and ``coset_distance``.  Code outside this
+module never chooses between the two modes.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from .group import (
     inv,
     mul,
     mul_syllable,
+    sort_key,
     syllable_length,
 )
-from .peripheral import Coset, coset_member, group_by_coset
+from .peripheral import Coset, coset_member, coset_of, gate_point, group_by_coset
 
 
 @dataclass
@@ -54,13 +57,6 @@ class VertexPath:
     @property
     def end(self) -> Element:
         return self.vertices[-1]
-
-
-def dist_exact(spec: GroupSpec, x: Element, y: Element) -> int:
-    """Word distance for the standard generating set (left-invariant)."""
-    if not spec.is_standard:
-        raise UnsupportedMetricError("exact metric requires the standard generating set")
-    return syllable_length(spec, mul(spec, inv(spec, x), y))
 
 
 def geodesic_exact(spec: GroupSpec, x: Element, y: Element) -> VertexPath:
@@ -84,10 +80,8 @@ def geodesic_exact(spec: GroupSpec, x: Element, y: Element) -> VertexPath:
 
 
 class ExactBackend:
-    """Metric backend built on the closed-form standard-generator metric."""
-
-    is_exact = True
-    radius = None
+    """Metric backend built on the closed-form standard-generator metric.
+    Every distance is certified."""
 
     def __init__(self, spec: GroupSpec):
         if not spec.is_standard:
@@ -96,6 +90,15 @@ class ExactBackend:
 
     def distance(self, x: Element, y: Element) -> int:
         return syllable_length(self.spec, mul(self.spec, inv(self.spec, x), y))
+
+    def distance_block(self, xs, ys) -> np.ndarray:
+        """d(x, y) for x in ``xs`` (rows) and y in ``ys`` (columns)."""
+        spec = self.spec
+        out = np.empty((len(xs), len(ys)), dtype=np.int32)
+        for k, x in enumerate(xs):
+            xi = inv(spec, x)
+            out[k] = [syllable_length(spec, mul(spec, xi, y)) for y in ys]
+        return out
 
     def coset_distances(self, xs, P: Coset, coords) -> np.ndarray:
         """d(x, rep*h) for x in ``xs`` (rows) and h in ``coords`` (columns).
@@ -125,6 +128,70 @@ class ExactBackend:
         ).reshape(len(s_ids), len(coords))
         return base[:, None] + lengths[sid]
 
+    def coset_points(self, P: Coset, level_cap: int) -> list[Element]:
+        """The points of P at factor levels 0..``level_cap``."""
+        f = self.spec.factors[P.factor_index]
+        return [
+            coset_member(self.spec, P, h)
+            for level in range(level_cap + 1)
+            for h in f.elements_of_length(level)
+        ]
+
+    def coset_minimizers(self, P: Coset, x: Element, limit: int | None = None):
+        """(d(x, P), the points of P at that distance), by an explicit scan of
+        the coset level by level in the factor, with a stopping bound.
+
+        d(x, rep*h) = base + len_f(h^-1 h0) where w = rep^-1 x = h0 * w' and
+        base = |w'|; a point at factor level l is at distance >= base + l - len_f(h0),
+        so levels beyond m - base + len_f(h0) cannot improve on a found minimum m.
+        Raises OutOfRangeError when the minimum is not below ``limit``.
+        """
+        spec = self.spec
+        i = P.factor_index
+        f = spec.factors[i]
+        w = mul(spec, inv(spec, P.rep), x)
+        if w and w[0][0] == i:
+            h0 = w[0][1]
+        else:
+            h0 = f.identity
+        len_h0 = f.length(h0)
+        base = syllable_length(spec, w) - len_h0
+        best = None
+        best_points: list[Element] = []
+        level = 0
+        diam = f.diameter()
+        while True:
+            if best is not None and base + level - len_h0 > best:
+                break
+            if diam is not None and level > diam:
+                break
+            for h in f.elements_of_length(level):
+                d = base + f.length(f.mul(f.inv(h), h0))
+                if best is None or d < best:
+                    best = d
+                    best_points = [coset_member(spec, P, h)]
+                elif d == best:
+                    best_points.append(coset_member(spec, P, h))
+            level += 1
+        if limit is not None and best >= limit:
+            raise OutOfRangeError(
+                f"coset minimum {best} not certified within search radius {limit}"
+            )
+        return best, best_points
+
+    def project(self, P: Coset, x: Element) -> Element:
+        """The gate: the unique closest point of P."""
+        return gate_point(self.spec, P, x)
+
+    def coset_distance(self, P: Coset, x: Element) -> int:
+        """d(x, P) in closed form: |rep^-1 x| minus its leading P-syllable."""
+        spec = self.spec
+        w = mul(spec, inv(spec, P.rep), x)
+        total = syllable_length(spec, w)
+        if w and w[0][0] == P.factor_index:
+            return total - spec.factors[P.factor_index].length(w[0][1])
+        return total
+
     def geodesic(self, x: Element, y: Element) -> VertexPath:
         return geodesic_exact(self.spec, x, y)
 
@@ -137,8 +204,6 @@ class BfsBackend:
     graph are true Cayley distances.
     """
 
-    is_exact = False
-
     def __init__(self, spec: GroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP):
         self.spec = spec
         self.radius = radius
@@ -148,13 +213,14 @@ class BfsBackend:
         ]
         self._coset_index: dict[Coset, list[Element]] | None = None
 
-    def coset_members(self, coset: Coset) -> list[Element]:
-        """Ball elements lying in ``coset``, in BFS order (nondecreasing
-        distance).  The index of all cosets is built on the first call, so a
-        backend used only for distances never pays for it."""
+    def coset_points(self, P: Coset, level_cap: int | None = None) -> list[Element]:
+        """Ball elements lying in P, in BFS order (nondecreasing distance);
+        ``level_cap`` is ignored, as the ball already bounds the coset.  The
+        index of all cosets is built on the first call, so a backend used only
+        for distances never pays for it."""
         if self._coset_index is None:
             self._coset_index = group_by_coset(self.spec, self.table)
-        return self._coset_index.get(coset, [])
+        return self._coset_index.get(P, [])
 
     def distance(self, x: Element, y: Element) -> int:
         w = mul(self.spec, inv(self.spec, x), y)
@@ -165,17 +231,55 @@ class BfsBackend:
             )
         return d
 
-    def coset_distances(self, xs, P: Coset, coords) -> np.ndarray:
-        """d(x, rep*h) for x in ``xs`` (rows) and h in ``coords`` (columns),
-        one table lookup of x^-1 rep h each; -1 outside the ball."""
+    def distance_block(self, xs, ys) -> np.ndarray:
+        """d(x, y) for x in ``xs`` (rows) and y in ``ys`` (columns), one table
+        lookup of x^-1 y each; -1 outside the ball."""
         spec = self.spec
         table = self.table
-        pts = [coset_member(spec, P, h) for h in coords]
-        out = np.empty((len(xs), len(pts)), dtype=np.int32)
+        out = np.empty((len(xs), len(ys)), dtype=np.int32)
         for k, x in enumerate(xs):
             xi = inv(spec, x)
-            out[k] = [table.get(mul(spec, xi, p), -1) for p in pts]
+            out[k] = [table.get(mul(spec, xi, y), -1) for y in ys]
         return out
+
+    def coset_distances(self, xs, P: Coset, coords) -> np.ndarray:
+        """d(x, rep*h) for x in ``xs`` (rows) and h in ``coords`` (columns)."""
+        return self.distance_block(xs, [coset_member(self.spec, P, h) for h in coords])
+
+    def coset_minimizers(self, P: Coset, x: Element, limit: int | None = None):
+        """(d(x, P), the points x*g of P at that distance), certified when the
+        distance |g| is below ``limit``, clamped to radius + 1.
+
+        x*g lies in P exactly when g lies in the coset x^-1 P, and the ball
+        members of that coset are listed in BFS order, so the first members
+        listed are the minimizers, in the order a scan of the ball's distance
+        shells would meet them.
+        """
+        spec = self.spec
+        table = self.table
+        if limit is None or limit > self.radius + 1:
+            limit = self.radius + 1
+        members = self.coset_points(
+            coset_of(spec, mul(spec, inv(spec, x), P.rep), P.factor_index)
+        )
+        found: list[Element] = []
+        for g in members:
+            d = table[g]
+            if d >= limit or (found and d > best):
+                break
+            best = d
+            found.append(mul(spec, x, g))
+        if found:
+            return best, found
+        raise OutOfRangeError(f"no coset point within {limit - 1} of x")
+
+    def project(self, P: Coset, x: Element) -> Element:
+        """The least (by ``sort_key``) of the certified minimizers."""
+        _, points = self.coset_minimizers(P, x, self.distance(x, P.rep) + 1)
+        return min(points, key=lambda p: sort_key(self.spec, p))
+
+    def coset_distance(self, P: Coset, x: Element) -> int:
+        return self.coset_minimizers(P, x)[0]
 
     def geodesic(self, x: Element, y: Element) -> VertexPath:
         """Greedy geodesic: first move (in generating-set order) that decreases distance."""
@@ -200,11 +304,6 @@ class BfsBackend:
             else:  # pragma: no cover - BFS parent property guarantees progress
                 raise OutOfRangeError("no distance-decreasing move inside the ball")
         return VertexPath(vertices, labels)
-
-
-def dist_bfs(backend: BfsBackend, x: Element, y: Element) -> int:
-    """Certified BFS distance; raises OutOfRangeError beyond the backend's ball."""
-    return backend.distance(x, y)
 
 
 def quasigeodesic_constants(path: VertexPath, backend) -> tuple[int, int]:

@@ -10,11 +10,15 @@ Three projection routes are provided:
   ``w = rep^-1 x`` and gates through the leading ``i``-syllable of ``w``.
   This is the unique distance-minimizing point in that regime.
 * ``proj_bruteforce``: the certified set of distance minimizers over the
-  coset, for any backend; the certificate guarantees the true minimum was
-  seen, or OutOfRangeError is raised.  With a BFS backend the minimizers
-  are the first ball members of x^-1 P in BFS order, translated by x.
+  coset, from the backend's ``coset_minimizers``; the certificate guarantees
+  the true minimum was seen, or OutOfRangeError is raised.  With a BFS
+  backend the minimizers are the first ball members of x^-1 P in BFS order,
+  translated by x.
 * ``proj_entrypoint`` / ``proj_conedoff``: first path vertex entering a
   neighborhood of the coset, along a metric geodesic or a coned-off geodesic.
+
+``projection`` and ``dist_to_coset``, the canonical projection point and
+d(x, P) that the verification suites use, are answered by the backend.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidFactorError, OutOfRangeError, UnsupportedMetricError
+from .errors import InvalidFactorError, UnsupportedMetricError
 from .group import (
     Element,
     GroupSpec,
@@ -31,8 +35,6 @@ from .group import (
     mul,
     mul_syllable,
     parse_element,
-    sort_key,
-    syllable_length,
 )
 
 
@@ -103,10 +105,11 @@ def gate_projection(spec: GroupSpec, P: Coset, x: Element) -> ProjectionResult:
             "gate projection is exact only for the standard generating set; "
             "use proj_bruteforce"
         )
-    return ProjectionResult(_gate_point(spec, P, x), "gate")
+    return ProjectionResult(gate_point(spec, P, x), "gate")
 
 
-def _gate_point(spec: GroupSpec, P: Coset, x: Element) -> Element:
+def gate_point(spec: GroupSpec, P: Coset, x: Element) -> Element:
+    """rep times the leading P-syllable of rep^-1 x (the rep when none)."""
     w = mul(spec, inv(spec, P.rep), x)
     if w and w[0][0] == P.factor_index:
         return mul_syllable(spec, P.rep, P.factor_index, w[0][1])
@@ -115,15 +118,7 @@ def _gate_point(spec: GroupSpec, P: Coset, x: Element) -> Element:
 
 def dist_to_coset(spec: GroupSpec, backend, P: Coset, x: Element) -> int:
     """d(x, P) under the backend's metric (certified)."""
-    if backend.is_exact:
-        w = mul(spec, inv(spec, P.rep), x)
-        f = spec.factors[P.factor_index]
-        total = syllable_length(spec, w)
-        if w and w[0][0] == P.factor_index:
-            return total - f.length(w[0][1])
-        return total
-    d, _ = _bfs_coset_minimizers(spec, backend, P, x, backend.radius + 1)
-    return d
+    return backend.coset_distance(P, x)
 
 
 def proj_bruteforce(
@@ -136,90 +131,14 @@ def proj_bruteforce(
     the returned set is exactly the minimizing set.  Raises OutOfRangeError
     when the certificate fails.
     """
-    if backend.is_exact:
-        m, points = _exact_coset_minimizers(spec, P, x)
-    else:
-        if search_radius > backend.radius + 1:
-            search_radius = backend.radius + 1
-        m, points = _bfs_coset_minimizers(spec, backend, P, x, search_radius)
-    if m >= search_radius:
-        raise OutOfRangeError(
-            f"coset minimum {m} not certified within search radius {search_radius}"
-        )
+    _, points = backend.coset_minimizers(P, x, search_radius)
     return frozenset(points)
-
-
-def _exact_coset_minimizers(spec: GroupSpec, P: Coset, x: Element):
-    """Scan coset points level by level in the factor, with a stopping bound.
-
-    d(x, rep*h) = base + len_f(h^-1 h0) where w = rep^-1 x = h0 * w' and
-    base = |w'|; a point at factor level l is at distance >= base + l - len_f(h0),
-    so levels beyond m - base + len_f(h0) cannot improve on a found minimum m.
-    """
-    i = P.factor_index
-    f = spec.factors[i]
-    w = mul(spec, inv(spec, P.rep), x)
-    if w and w[0][0] == i:
-        h0 = w[0][1]
-    else:
-        h0 = f.identity
-    len_h0 = f.length(h0)
-    base = syllable_length(spec, w) - len_h0
-    best = None
-    best_points: list[Element] = []
-    level = 0
-    diam = f.diameter()
-    while True:
-        if best is not None and base + level - len_h0 > best:
-            break
-        if diam is not None and level > diam:
-            break
-        for h in f.elements_of_length(level):
-            d = base + f.length(f.mul(f.inv(h), h0))
-            if best is None or d < best:
-                best = d
-                best_points = [coset_member(spec, P, h)]
-            elif d == best:
-                best_points.append(coset_member(spec, P, h))
-        level += 1
-    return best, best_points
-
-
-def _bfs_coset_minimizers(spec: GroupSpec, backend, P: Coset, x: Element, limit: int):
-    """The nearest points x*g of P with d(x, x*g) = |g| < ``limit``.
-
-    x*g lies in P exactly when g lies in the coset x^-1 P, and the backend
-    lists the ball members of that coset in BFS order, so the first members
-    listed are the minimizers, in the order a scan of the ball's distance
-    shells would meet them.
-    """
-    table = backend.table
-    members = backend.coset_members(
-        coset_of(spec, mul(spec, inv(spec, x), P.rep), P.factor_index)
-    )
-    found: list[Element] = []
-    for g in members:
-        d = table[g]
-        if d >= limit or (found and d > best):
-            break
-        best = d
-        found.append(mul(spec, x, g))
-    if found:
-        return best, found
-    raise OutOfRangeError(
-        f"no coset point within {min(limit, backend.radius + 1) - 1} of x"
-    )
 
 
 def projection(spec: GroupSpec, backend, P: Coset, x: Element) -> Element:
     """The canonical projection point: gate in exact mode, else the
     deterministically-least element of the certified minimizing set."""
-    if backend.is_exact:
-        return _gate_point(spec, P, x)
-    d_rep = backend.distance(x, P.rep)
-    search = min(d_rep + 1, backend.radius + 1)
-    candidates = proj_bruteforce(spec, backend, P, x, search)
-    return min(candidates, key=lambda p: sort_key(spec, p))
+    return backend.project(P, x)
 
 
 def projection_distance(spec: GroupSpec, backend, P: Coset, x: Element, y: Element) -> int:

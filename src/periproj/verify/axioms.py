@@ -25,11 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import OutOfRangeError
-from ..group import GroupSpec, ball, element_str, inv, mul, syllable_length
+from ..group import GroupSpec, ball, element_str
 from ..peripheral import (
-    Coset,
-    _bfs_coset_minimizers,
-    _exact_coset_minimizers,
     coset_member,
     coset_str,
     cosets_meeting_ball,
@@ -58,25 +55,21 @@ class ApReport:
         )
 
 
-def _coset_points(spec: GroupSpec, backend, P: Coset, level_cap: int):
-    """Sampled points of P: factor levels up to ``level_cap`` in exact mode,
-    all ball members in BFS order in BFS mode."""
-    if backend.is_exact:
-        f = spec.factors[P.factor_index]
-        pts = []
-        for level in range(level_cap + 1):
-            pts.extend(coset_member(spec, P, h) for h in f.elements_of_length(level))
-        return pts
-    return backend.coset_members(P)
+def projection_ids(backend, points):
+    """Compress projection points (None where uncertified) to ids.
 
-
-def _coset_distance(spec: GroupSpec, backend, P: Coset, x) -> int:
-    """Certified d(x, P) by explicit minimization (never the gate formula)."""
-    if backend.is_exact:
-        m, _ = _exact_coset_minimizers(spec, P, x)
-        return m
-    m, _ = _bfs_coset_minimizers(spec, backend, P, x, backend.radius + 1)
-    return m
+    Returns (pid, distinct points, their pairwise distance table with -1
+    where not certified, number of refused unordered pairs); pid is -1 for
+    the None entries.
+    """
+    uniq: dict = {}
+    pid = np.array(
+        [-1 if p is None else uniq.setdefault(p, len(uniq)) for p in points],
+        dtype=np.int32,
+    )
+    upts = list(uniq)
+    pdist = backend.distance_block(upts, upts)
+    return pid, upts, pdist, int((pdist < 0).sum()) // 2
 
 
 def check_ap_axioms(
@@ -87,30 +80,17 @@ def check_ap_axioms(
     n = len(xs)
     level_cap = max(sample_radius, coset_radius)
 
-    skipped = 0
     examined = {k: 0 for k in ("ap1", "ap2", "ap3", "ap1p", "ap2p")}
     constants = {k: 0 for k in examined}
     witnesses: dict = {}
 
     # pairwise sample distances (-1 where the backend cannot certify)
-    dmat = np.full((n, n), -1, dtype=np.int32)
-    for i, x in enumerate(xs):
-        xi = inv(spec, x)
-        row = dmat[i]
-        if backend.is_exact:
-            for j, y in enumerate(xs):
-                row[j] = syllable_length(spec, mul(spec, xi, y))
-        else:
-            table = backend.table
-            for j, y in enumerate(xs):
-                d = table.get(mul(spec, xi, y))
-                if d is None:
-                    skipped += 1
-                else:
-                    row[j] = d
+    dmat = backend.distance_block(xs, xs)
+    skipped = int((dmat < 0).sum())
 
-    for P in cosets:
-        coords = [member_coord(spec, P, p) for p in _coset_points(spec, backend, P, level_cap)]
+    points = {P: backend.coset_points(P, level_cap) for P in cosets}
+    for P, p_points in points.items():
+        coords = [member_coord(spec, P, p) for p in p_points]
         # canonical projection of every sample point, None when uncertifiable
         proj_pts: list = []
         for x in xs:
@@ -127,30 +107,16 @@ def check_ap_axioms(
             if proj_pts[i] is None:
                 continue
             try:
-                dP[i] = _coset_distance(spec, backend, P, x)
+                # explicit minimization, never the gate formula: ap1p
+                # compares d(x, pi(x)) against this value
+                dP[i] = backend.coset_minimizers(P, x)[0]
                 dxpi[i] = backend.distance(x, proj_pts[i])
             except OutOfRangeError:
                 proj_pts[i] = None
                 skipped += 1
 
-        # compress projection points to ids with a pairwise distance table
-        uniq: dict = {}
-        for p in proj_pts:
-            if p is not None and p not in uniq:
-                uniq[p] = len(uniq)
-        pid = np.array(
-            [uniq[p] if p is not None else -1 for p in proj_pts], dtype=np.int32
-        )
-        k = len(uniq)
-        upts = list(uniq)
-        pdist = np.full((k, k), -1, dtype=np.int32)
-        for a in range(k):
-            pdist[a, a] = 0
-            for b in range(a + 1, k):
-                try:
-                    pdist[a, b] = pdist[b, a] = backend.distance(upts[a], upts[b])
-                except OutOfRangeError:
-                    skipped += 1
+        pid, upts, pdist, refused = projection_ids(backend, proj_pts)
+        skipped += refused
 
         _ap1(spec, backend, P, xs, pid, upts, dxpi, coords, constants, witnesses, examined)
         _ap2(spec, P, xs, pid, pdist, dmat, dP, constants, witnesses, examined)
@@ -158,7 +124,7 @@ def check_ap_axioms(
         _ap2p(spec, P, xs, pid, pdist, dmat, dxpi, constants, witnesses, examined)
 
     ap3_image_max, ap3_skipped = _ap3(
-        spec, backend, cosets, level_cap, constants, witnesses, examined
+        spec, backend, points, constants, witnesses, examined
     )
     skipped += ap3_skipped
 
@@ -226,16 +192,18 @@ def _ap2(spec, P, xs, pid, pdist, dmat, dP, constants, witnesses, examined):
     constants["ap2"] = best
 
 
-def _ap3(spec, backend, cosets, level_cap, constants, witnesses, examined):
+def _ap3(spec, backend, points, constants, witnesses, examined):
+    """diam pi_P(Q) over ordered pairs of distinct cosets; ``points`` maps
+    each coset, in order, to its sampled points."""
     best = constants["ap3"]
     image_max = 0
     skipped = 0
-    for P in cosets:
-        for Q in cosets:
+    for P in points:
+        for Q, q_points in points.items():
             if P == Q:
                 continue
             image: dict = {}
-            for q in _coset_points(spec, backend, Q, level_cap):
+            for q in q_points:
                 try:
                     image.setdefault(projection(spec, backend, P, q), None)
                 except OutOfRangeError:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import OutOfRangeError
-from ..group import GroupSpec, ball, element_str, inv, mul, syllable_length
+from ..group import GroupSpec, ball, element_str
 from ..metric import quasigeodesic_constants
 from ..conedoff import geodesic_hat, lift
 from ..peripheral import (
@@ -28,6 +28,7 @@ from ..peripheral import (
     dist_to_coset,
     projection,
 )
+from .axioms import projection_ids
 from .sampling import SamplePlan, random_walk, seeded_pairs
 
 
@@ -174,37 +175,16 @@ def _build_paths(spec, backend, hat_backend, rng, pairs, plan, rows) -> list:
 
 def _lipschitz_sweep(spec, backend, xs, cosets, C, row, proj) -> None:
     """d(pi(x), pi(y)) <= d(x, y) + 6C over all sample pairs and cosets."""
-    n = len(xs)
-    dmat = np.full((n, n), -1, dtype=np.int32)
-    for i, x in enumerate(xs):
-        xi = inv(spec, x)
-        for j, y in enumerate(xs):
-            if backend.is_exact:
-                dmat[i, j] = syllable_length(spec, mul(spec, xi, y))
-            else:
-                d = backend.table.get(mul(spec, xi, y))
-                if d is not None:
-                    dmat[i, j] = d
+    dmat = backend.distance_block(xs, xs)
     for P in cosets:
-        pid = np.full(n, -1, dtype=np.int32)
-        uniq: dict = {}
-        for i, x in enumerate(xs):
+        pts = []
+        for x in xs:
             try:
-                p = proj(P, x)
+                pts.append(proj(P, x))
             except OutOfRangeError:
                 row.skipped += 1
-                continue
-            pid[i] = uniq.setdefault(p, len(uniq))
-        pts = list(uniq)
-        k = len(pts)
-        pdist = np.full((k, k), -1, dtype=np.int32)
-        for a in range(k):
-            pdist[a, a] = 0
-            for b in range(a + 1, k):
-                try:
-                    pdist[a, b] = pdist[b, a] = backend.distance(pts[a], pts[b])
-                except OutOfRangeError:
-                    pass
+                pts.append(None)
+        pid, _, pdist, _ = projection_ids(backend, pts)
         valid = pid >= 0
         idx = np.nonzero(valid)[0]
         if len(idx) < 2:

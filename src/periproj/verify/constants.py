@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from ..errors import OutOfRangeError
-from ..group import GroupSpec, ball, element_str, inv, mul, syllable_length
+from ..group import GroupSpec, ball, element_str
 from ..metric import enumerate_geodesics
 from ..conedoff import geodesic_hat
 from ..peripheral import (
@@ -65,20 +65,9 @@ def estimate_dstg_constants(
     n = len(xs)
     witnesses: dict = {}
     examined = {k: 0 for k in ("m", "b", "t", "sigma", "entry", "hat_entry")}
-    skipped = 0
 
-    dmat = np.full((n, n), -1, dtype=np.int32)
-    for i, x in enumerate(xs):
-        xi = inv(spec, x)
-        for j, y in enumerate(xs):
-            if backend.is_exact:
-                dmat[i, j] = syllable_length(spec, mul(spec, xi, y))
-            else:
-                d = backend.table.get(mul(spec, xi, y))
-                if d is None:
-                    skipped += 1
-                else:
-                    dmat[i, j] = d
+    dmat = backend.distance_block(xs, xs)
+    skipped = int((dmat < 0).sum())
 
     dcos = {}
     for P in cosets:

@@ -19,7 +19,6 @@ from ..group import Element, GroupSpec, element_str
 from ..metric import ExactBackend
 from ..conedoff import dist_hat
 from ..peripheral import projection, separating_cosets
-from .constants import estimate_dstg_constants
 
 
 @dataclass
@@ -50,16 +49,6 @@ class FitRow:
     witness: str
 
 
-_SLACK_CACHE: dict = {}
-
-
-def _default_slack(spec: GroupSpec, backend) -> tuple[int, int]:
-    if spec not in _SLACK_CACHE:
-        consts = estimate_dstg_constants(spec, backend, radius=3)
-        _SLACK_CACHE[spec] = (consts.sigma_by_d[0], consts.entry_m_by_d[0])
-    return _SLACK_CACHE[spec]
-
-
 def distance_formula(
     spec: GroupSpec,
     x: Element,
@@ -67,8 +56,9 @@ def distance_formula(
     thresholds,
     backend=None,
     hat_backend=None,
-    sigma: int | None = None,
-    entry_m: int | None = None,
+    *,
+    sigma: int,
+    entry_m: int,
 ) -> FormulaEval:
     """Evaluate both sides of the distance formula and the lower-bound estimate.
 
@@ -90,8 +80,6 @@ def distance_formula(
     rhs_by_l = {
         L: sum(v for _, v in terms if v > L) + dhat for L in thresholds
     }
-    if sigma is None or entry_m is None:
-        sigma, entry_m = _default_slack(spec, backend)
     shrink = 2 * sigma + 2 * entry_m
     bound = sum(v - shrink for _, v in terms if v >= shrink)
     if lhs < bound:
@@ -119,8 +107,9 @@ def fit_formula_constants(
     thresholds,
     backend=None,
     hat_backend=None,
-    sigma: int | None = None,
-    entry_m: int | None = None,
+    *,
+    sigma: int,
+    entry_m: int,
 ) -> list[FitRow]:
     """Per threshold, the minimal lambda with mu = 0 covering every pair.
 

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from periproj import (
     BallBudgetError,
     CyclicFactor,
+    FreeAbelianRank2Factor,
     GroupSpec,
     InfiniteCyclicFactor,
     InvalidFactorError,
     NormalFormError,
+    TableFactor,
     ball,
     element_str,
     inv,
@@ -216,3 +218,37 @@ def test_table_element_serialization():
     assert parse_element(spec, element_str(spec, x)) == x
     # generator tokens with powers fold through the table
     assert parse_element(spec, "r^2") == ((0, table[index[(1, 2, 0)]][index[(1, 2, 0)]]),)
+
+
+def _four_kinds_spec():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(q[p[i]] for i in range(3))] for q in perms] for p in perms]
+    s3 = TableFactor(table, {"s": index[(1, 0, 2)], "r": index[(1, 2, 0)]})
+    return GroupSpec(
+        [CyclicFactor(5, "a"), InfiniteCyclicFactor("t"), FreeAbelianRank2Factor("u", "v"), s3]
+    )
+
+
+def _table_power(f, g, k):
+    # repeated multiplication of the generator or its inverse
+    if k < 0:
+        g, k = f.inv(g), -k
+    acc = f.identity
+    for _ in range(k):
+        acc = f.mul(acc, g)
+    return acc
+
+
+@pytest.mark.parametrize("k", [-7, -1, 0, 1, 5, 1000])
+@pytest.mark.parametrize("label", ["a", "t", "v", "r"])
+def test_parse_generator_power_every_kind(label, k):
+    spec = _four_kinds_spec()
+    s3 = spec.factors[3]
+    expected = {
+        "a": (0, k % 5),
+        "t": (1, k),
+        "v": (2, (0, k)),
+        "r": (3, _table_power(s3, s3._gen_index["r"], k)),
+    }[label]
+    assert parse_element(spec, f"{label}^{k}") == normalize(spec, [expected])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from periproj import (
+    BfsBackend,
     CyclicFactor,
     ExactBackend,
     GroupSpec,
@@ -15,8 +16,6 @@ from periproj import (
     UnsupportedMetricError,
     VertexPath,
     ball,
-    dist_bfs,
-    dist_exact,
     enumerate_geodesics,
     geodesic_exact,
     mul,
@@ -28,33 +27,33 @@ from periproj.group import IDENTITY
 from periproj.peripheral import coset_member, cosets_meeting_ball
 
 
-def test_dist_exact_example(zxz2, zxz2_bfs6):
+def test_dist_exact_example(zxz2, zxz2_exact, zxz2_bfs6):
     y = parse_element(zxz2, "t u^3 v^-2")
-    assert dist_exact(zxz2, IDENTITY, y) == 6
-    assert dist_bfs(zxz2_bfs6, IDENTITY, y) == 6
+    assert zxz2_exact.distance(IDENTITY, y) == 6
+    assert zxz2_bfs6.distance(IDENTITY, y) == 6
 
 
-def test_dist_self_zero(zxz2):
+def test_dist_self_zero(zxz2, zxz2_exact):
     x = parse_element(zxz2, "t u^3")
-    assert dist_exact(zxz2, x, x) == 0
+    assert zxz2_exact.distance(x, x) == 0
 
 
-def test_dist_a_b(c2c3, c2c3_bfs10):
+def test_dist_a_b(c2c3, c2c3_exact, c2c3_bfs10):
     a, b = parse_element(c2c3, "a"), parse_element(c2c3, "b")
-    assert dist_exact(c2c3, a, b) == 2
-    assert dist_bfs(c2c3_bfs10, a, b) == 2
+    assert c2c3_exact.distance(a, b) == 2
+    assert c2c3_bfs10.distance(a, b) == 2
 
 
-def test_oracle_equivalence_small(c2c3, c2c3_bfs10):
+def test_oracle_equivalence_small(c2c3, c2c3_exact, c2c3_bfs10):
     elems = list(ball(c2c3, 3))
     for x in elems:
         for y in elems:
-            assert dist_exact(c2c3, x, y) == dist_bfs(c2c3_bfs10, x, y)
+            assert c2c3_exact.distance(x, y) == c2c3_bfs10.distance(x, y)
 
 
 def test_exact_mode_rejects_extended(c2c3_ext):
     with pytest.raises(UnsupportedMetricError):
-        dist_exact(c2c3_ext, IDENTITY, IDENTITY)
+        ExactBackend(c2c3_ext).distance(IDENTITY, IDENTITY)
 
 
 def test_geodesic_example(zxz2):
@@ -87,30 +86,31 @@ def test_geodesic_steps_are_generators(zxz2, zxz2_exact):
         x = random_element(zxz2, rng, 4, 3)
         y = random_element(zxz2, rng, 4, 3)
         path = zxz2_exact.geodesic(x, y)
-        assert len(path) == dist_exact(zxz2, x, y)
+        assert len(path) == zxz2_exact.distance(x, y)
         for a, b, label in zip(path.vertices, path.vertices[1:], path.labels):
             assert mul(zxz2, a, moves[label]) == b
 
 
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
-def test_metric_axioms_hypothesis(zxz2, data):
+def test_metric_axioms_hypothesis(zxz2, zxz2_exact, data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     x = random_element(zxz2, rng, 4, 4)
     y = random_element(zxz2, rng, 4, 4)
     z = random_element(zxz2, rng, 4, 4)
     g = random_element(zxz2, rng, 3, 3)
-    dxy = dist_exact(zxz2, x, y)
-    assert dxy == dist_exact(zxz2, y, x)
+    d = zxz2_exact.distance
+    dxy = d(x, y)
+    assert dxy == d(y, x)
     assert dxy >= 0 and (dxy == 0) == (x == y)
-    assert dxy <= dist_exact(zxz2, x, z) + dist_exact(zxz2, z, y)
-    assert dist_exact(zxz2, mul(zxz2, g, x), mul(zxz2, g, y)) == dxy
+    assert dxy <= d(x, z) + d(z, y)
+    assert d(mul(zxz2, g, x), mul(zxz2, g, y)) == dxy
 
 
 def test_bfs_out_of_range(zxz2, zxz2_bfs6):
     far = parse_element(zxz2, "t u^9")
     with pytest.raises(OutOfRangeError):
-        dist_bfs(zxz2_bfs6, IDENTITY, far)
+        zxz2_bfs6.distance(IDENTITY, far)
 
 
 def test_bfs_geodesic_matches_distance(zxz2_bfs6, zxz2):
@@ -138,7 +138,7 @@ def test_quasigeodesic_backtracking(c2c3, c2c3_exact):
     # oracle: worst deficit over all vertex pairs by direct scan
     verts = path.vertices
     worst = max(
-        (j - i) - dist_exact(c2c3, verts[i], verts[j])
+        (j - i) - c2c3_exact.distance(verts[i], verts[j])
         for i in range(len(verts))
         for j in range(i + 1, len(verts))
     )
@@ -195,4 +195,27 @@ def test_coset_distances_match_scalar(request, name, sample_radius):
                     expected = -1
                     refused += 1
                 assert got == expected
-    assert (refused > 0) == (not backend.is_exact)
+    assert (refused > 0) == isinstance(backend, BfsBackend)
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    [("c2c3_exact", 4), ("s3c2_exact", 4), ("zxz2_exact", 4), ("ext_bfs8", 6), ("zxz2_bfs6", 4)],
+)
+def test_distance_block_matches_scalar(request, name, radius):
+    # the block equals the scalar distance on every certified pair of the
+    # ball, and reads -1 exactly where the scalar path refuses
+    backend = request.getfixturevalue(name)
+    xs = list(ball(backend.spec, radius))
+    block = backend.distance_block(xs, xs)
+    assert block.shape == (len(xs), len(xs)) and block.dtype.name == "int32"
+    refused = 0
+    for x, row in zip(xs, block.tolist()):
+        for y, got in zip(xs, row):
+            try:
+                expected = backend.distance(x, y)
+            except OutOfRangeError:
+                expected = -1
+                refused += 1
+            assert got == expected
+    assert (refused > 0) == isinstance(backend, BfsBackend)

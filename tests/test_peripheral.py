@@ -24,8 +24,7 @@ from periproj import (
 )
 from periproj import metric
 from periproj.group import IDENTITY, mul
-from periproj.peripheral import _bfs_coset_minimizers, contains, parse_coset
-from periproj.verify.axioms import _coset_points
+from periproj.peripheral import contains, parse_coset
 
 
 def test_coset_of_strips_trailing(zxz2):
@@ -154,7 +153,7 @@ def test_bfs_minimizers_match_shell_scan(request, name):
     spec = backend.spec
     cosets = cosets_meeting_ball(spec, ball(spec, 3))
     for P in cosets:
-        assert _coset_points(spec, backend, P, 0) == [
+        assert backend.coset_points(P, 0) == [
             g for g in backend.table if contains(spec, P, g)
         ]
     for x in ball(spec, 4):
@@ -163,11 +162,11 @@ def test_bfs_minimizers_match_shell_scan(request, name):
             for limit in range(1, backend.radius + 2):
                 expected = reference.get(P)
                 if expected is not None and expected[0] < limit:
-                    assert _bfs_coset_minimizers(spec, backend, P, x, limit) == expected
+                    assert backend.coset_minimizers(P, x, limit) == expected
                 else:
                     message = f"no coset point within {limit - 1} of x"
                     with pytest.raises(OutOfRangeError, match=f"^{message}$"):
-                        _bfs_coset_minimizers(spec, backend, P, x, limit)
+                        backend.coset_minimizers(P, x, limit)
 
 
 def test_bfs_coset_index_is_lazy(zxz2, monkeypatch):
