@@ -78,6 +78,11 @@ class RunConfig:
             raise ConfigError("exact backend requires the standard generating set")
         if self.radius < 1 or self.sample_radius < 1:
             raise ConfigError("radii must be positive")
+        for key in ("hat_radius", "coset_radius"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be nonnegative, got {getattr(self, key)}")
+        if self.samples < 1:
+            raise ConfigError(f"samples must be at least 1, got {self.samples}")
         needs_peripheral = {"formula", "bcp", "lifts"} & set(self.suites)
         if needs_peripheral and not self.group.peripheral_indices:
             raise ConfigError(

@@ -12,11 +12,17 @@ Two interchangeable backends answer the same metric interface:
   lookup of ``x^-1 y``.
 
 The interface: ``distance`` and ``geodesic``; the blocks ``distance_block(xs,
-ys)`` and ``coset_distances(xs, P, coords)`` as int32 arrays with -1 where a
-value is not certified (the scalar ``distance`` is the reference they are
-tested against); and the coset queries ``coset_points``,
-``coset_minimizers``, ``project`` and ``coset_distance``.  Code outside this
-module never chooses between the two modes.
+ys)``, ``coset_distances(xs, P, coords)`` and ``coset_distance_block(cosets,
+xs)`` as int32 arrays with -1 where a value is not certified; and the coset
+queries ``coset_points``, ``coset_minimizers``, ``project`` and
+``coset_distance``.  Code outside this module never chooses between the two
+modes.
+
+Exact blocks never multiply elements: both inputs are encoded by their
+syllable prefixes (paths in the Bass-Serre tree of the free product), and
+numpy reads each distance from the tails past the first differing syllable
+(``_prefix_block``).  The scalar ``distance`` and ``coset_distance`` are the
+reference every block is tested against.
 """
 
 from __future__ import annotations
@@ -79,6 +85,121 @@ def geodesic_exact(spec: GroupSpec, x: Element, y: Element) -> VertexPath:
     return VertexPath(vertices, labels)
 
 
+# cells per row chunk of a prefix block: bounds the int64 scratch arrays
+_CHUNK_CELLS = 1 << 15
+
+
+def _prefix_code(spec: GroupSpec, lists):
+    """Syllable-prefix code of each list of normal forms, with ids shared
+    across the lists of one call.
+
+    A normal form is a path from the root of the trie of syllable prefixes,
+    the Bass-Serre tree of the free product.  Per list, ``prefix[r, j]`` is
+    the id of the prefix x[:j+1] (padded with -1 - list index, so two lists
+    never agree past an end), ``syl[r, j]`` the id of syllable j (-1 past the
+    end) and ``tail[r, j]`` the summed syllable lengths from j on.  Returns
+    the per-list (prefix, syl, tail) triples, the syllables by id and their
+    lengths.
+    """
+    factors = spec.factors
+    depth = max((len(x) for xs in lists for x in xs), default=0)
+    node_ids: dict = {}
+    syl_ids: dict = {}
+    syl_len: list[int] = []
+    coded = []
+    for pad, xs in enumerate(lists):
+        prefix, syl, lens = [], [], []
+        for x in xs:
+            node = -1
+            p_row, s_row = [], []
+            for s in x:
+                sid = syl_ids.setdefault(s, len(syl_ids))
+                if sid == len(syl_len):
+                    syl_len.append(factors[s[0]].length(s[1]))
+                node = node_ids.setdefault((node, sid), len(node_ids))
+                p_row.append(node)
+                s_row.append(sid)
+            gap = depth - len(x)
+            prefix.append(p_row + [-1 - pad] * gap)
+            syl.append(s_row + [-1] * (gap + 1))
+            lens.append([syl_len[sid] for sid in s_row] + [0] * (gap + 1))
+        shape = (len(xs), depth + 1)
+        tail = np.array(lens, dtype=np.int64).reshape(shape)[:, ::-1].cumsum(axis=1)[:, ::-1]
+        coded.append((
+            np.array(prefix, dtype=np.int32).reshape(len(xs), depth),
+            np.array(syl, dtype=np.int32).reshape(shape),
+            np.ascontiguousarray(tail),
+        ))
+    return coded, list(syl_ids), syl_len
+
+
+def _prefix_block(spec: GroupSpec, xs, ys, gates=None) -> np.ndarray:
+    """d(x, y) over ``xs`` x ``ys`` for the standard generating set.
+
+    Let k be the first syllable index where x and y differ.  Then x^-1 y is
+    x[k:]^-1 y[k:], whose syllables are those of both tails except that the
+    k-th syllables a and b merge into a^-1 b when they come from the same
+    factor f, so d(x, y) = tail_x(k) + tail_y(k) - corr with
+    corr = len(a) + len(b) - len_f(a^-1 b), read from a table over the
+    distinct pairs (a, b) that occur.  With ``gates`` (a factor index per
+    row) the syllable of y right after a whole row x is dropped when it lies
+    in that factor: d(y, x H_i) for a canonical coset rep x.
+    """
+    n, m = len(xs), len(ys)
+    out = np.empty((n, m), dtype=np.int32)
+    if not n or not m:
+        return out
+    ((px, sx, tx), (py, sy, ty)), syllables, lengths = _prefix_code(spec, [xs, ys])
+    if tx[:, 0].max() + ty[:, 0].max() > np.iinfo(np.int32).max:
+        raise OverflowError("distances do not fit the int32 block")
+    factors = spec.factors
+    # a trailing sentinel answers the -1 ids past an end
+    sfac = np.array([fi for fi, _ in syllables] + [-1], dtype=np.int32)
+    slen = np.array(lengths + [0], dtype=np.int32)
+    nsyl = len(syllables)
+    saved: dict = {}
+
+    def corr(code: int) -> int:
+        if code not in saved:
+            i, j = divmod(code, nsyl)
+            (fi, a), (_, b) = syllables[i], syllables[j]
+            f = factors[fi]
+            saved[code] = lengths[i] + lengths[j] - f.length(f.mul(f.inv(a), b))
+        return saved[code]
+
+    if gates is not None:
+        gate = np.array(gates, dtype=np.int32)[:, None]
+        rep_len = np.array([len(x) for x in xs])[:, None]
+    cols = np.arange(m)
+    step = max(1, _CHUNK_CELLS // m)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        rows = np.arange(r0, r1)[:, None]
+        k = np.zeros((r1 - r0, m), dtype=np.intp)
+        for j in range(px.shape[1]):
+            eq = px[r0:r1, j, None] == py[:, j]
+            if not eq.any():
+                break
+            k += eq
+        a = sx[rows, k]
+        b = sy[cols, k]
+        d = tx[rows, k] + ty[cols, k]
+        merge = (a >= 0) & (b >= 0)
+        merge &= sfac[a] == sfac[b]
+        if merge.any():
+            uniq, inverse = np.unique(
+                a[merge].astype(np.int64) * nsyl + b[merge], return_inverse=True
+            )
+            table = np.array([corr(c) for c in uniq.tolist()], dtype=np.int32)
+            d[merge] -= table[inverse]
+        if gates is not None:
+            lead = (k == rep_len[r0:r1]) & (b >= 0)
+            lead &= sfac[b] == gate[r0:r1]
+            d[lead] -= slen[b[lead]]
+        out[r0:r1] = d
+    return out
+
+
 class ExactBackend:
     """Metric backend built on the closed-form standard-generator metric.
     Every distance is certified."""
@@ -92,13 +213,18 @@ class ExactBackend:
         return syllable_length(self.spec, mul(self.spec, inv(self.spec, x), y))
 
     def distance_block(self, xs, ys) -> np.ndarray:
-        """d(x, y) for x in ``xs`` (rows) and y in ``ys`` (columns)."""
-        spec = self.spec
-        out = np.empty((len(xs), len(ys)), dtype=np.int32)
-        for k, x in enumerate(xs):
-            xi = inv(spec, x)
-            out[k] = [syllable_length(spec, mul(spec, xi, y)) for y in ys]
-        return out
+        """d(x, y) for x in ``xs`` (rows) and y in ``ys`` (columns), from the
+        syllable-prefix code of both lists (see ``_prefix_block``)."""
+        return _prefix_block(self.spec, xs, ys)
+
+    def coset_distance_block(self, cosets, xs) -> np.ndarray:
+        """d(x, P) for P in ``cosets`` (rows) and x in ``xs`` (columns): the
+        closed form of ``coset_distance``, d(rep, x) less the leading
+        P-syllable of rep^-1 x, which exists exactly when rep is a syllable
+        prefix of x followed by a P-syllable."""
+        return _prefix_block(
+            self.spec, [P.rep for P in cosets], xs, [P.factor_index for P in cosets]
+        )
 
     def coset_distances(self, xs, P: Coset, coords) -> np.ndarray:
         """d(x, rep*h) for x in ``xs`` (rows) and h in ``coords`` (columns).
@@ -245,6 +371,18 @@ class BfsBackend:
     def coset_distances(self, xs, P: Coset, coords) -> np.ndarray:
         """d(x, rep*h) for x in ``xs`` (rows) and h in ``coords`` (columns)."""
         return self.distance_block(xs, [coset_member(self.spec, P, h) for h in coords])
+
+    def coset_distance_block(self, cosets, xs) -> np.ndarray:
+        """d(x, P) for P in ``cosets`` (rows) and x in ``xs`` (columns), -1
+        where the minimum is not certified."""
+        out = np.empty((len(cosets), len(xs)), dtype=np.int32)
+        for r, P in enumerate(cosets):
+            for c, x in enumerate(xs):
+                try:
+                    out[r, c] = self.coset_distance(P, x)
+                except OutOfRangeError:
+                    out[r, c] = -1
+        return out
 
     def coset_minimizers(self, P: Coset, x: Element, limit: int | None = None):
         """(d(x, P), the points x*g of P at that distance), certified when the

@@ -62,22 +62,15 @@ def estimate_dstg_constants(
     plan = plan or SamplePlan()
     xs = list(ball(spec, radius))
     cosets = cosets_meeting_ball(spec, ball(spec, max(1, radius - 1)))
-    n = len(xs)
     witnesses: dict = {}
     examined = {k: 0 for k in ("m", "b", "t", "sigma", "entry", "hat_entry")}
 
     dmat = backend.distance_block(xs, xs)
     skipped = int((dmat < 0).sum())
 
-    dcos = {}
-    for P in cosets:
-        col = np.full(n, -1, dtype=np.int32)
-        for i, x in enumerate(xs):
-            try:
-                col[i] = dist_to_coset(spec, backend, P, x)
-            except OutOfRangeError:
-                skipped += 1
-        dcos[P] = col
+    dcos_block = backend.coset_distance_block(cosets, xs)
+    skipped += int((dcos_block < 0).sum())
+    dcos = dict(zip(cosets, dcos_block))
 
     m_val = _measure_m(spec, backend, xs, cosets, dmat, dcos, plan, witnesses, examined)
     b_by_h = _measure_b(spec, cosets, xs, dmat, dcos, witnesses, examined)

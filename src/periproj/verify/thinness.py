@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
+
+import numpy as np
 
 from ..errors import OutOfRangeError
 from ..group import GroupSpec, ball, mul
-from ..peripheral import coset_of, dist_to_coset
+from ..peripheral import coset_of
 from .sampling import random_element_by_length
 
 
@@ -78,8 +80,12 @@ def thinness_scan(spec: GroupSpec, backend, k: int, triangles) -> ThinnessReport
                 backend.geodesic(y, z).vertices,
                 backend.geodesic(z, x).vertices,
             ]
-            depth = _penetration(spec, backend, sides, k, nbhd)
-            delta = _thinness(backend, sides)
+            cuts = np.cumsum([0] + [len(s) for s in sides])
+            spans = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+            verts = [v for side in sides for v in side]
+            dmat = backend.distance_block(verts, verts)
+            depth = _penetration(spec, backend, verts, spans, dmat, k, nbhd)
+            delta = _thinness(spans, dmat)
         except OutOfRangeError:
             report.skipped += 1
             continue
@@ -89,35 +95,47 @@ def thinness_scan(spec: GroupSpec, backend, k: int, triangles) -> ThinnessReport
     return report
 
 
-def _penetration(spec, backend, sides, k, nbhd) -> int:
-    """Max over sides and nearby cosets of diam(N_k(P) intersect side)."""
+def _refuse_if_uncertified(block) -> None:
+    if (block < 0).any():
+        raise OutOfRangeError("triangle distance not certified by this backend")
+
+
+def _penetration(spec, backend, verts, spans, dmat, k, nbhd) -> int:
+    """Max over sides and nearby cosets of diam(N_k(P) intersect side).
+
+    ``verts`` are the three sides' vertices in order, ``spans`` the slice of
+    each side and ``dmat`` their distance block.  Two vertices of a side
+    count toward the diameter exactly when some coset has both within k;
+    their distance is certified, as both lie on one certified geodesic.
+    """
     candidates: dict = {}
-    for side in sides:
-        for v in side:
-            for g in nbhd:
-                w = mul(spec, v, g)
-                for i in spec.peripheral_indices:
-                    candidates.setdefault(coset_of(spec, w, i), None)
+    for v in verts:
+        for g in nbhd:
+            w = mul(spec, v, g)
+            for i in spec.peripheral_indices:
+                candidates.setdefault(coset_of(spec, w, i), None)
+    if not candidates:
+        return 0
+    dcos = backend.coset_distance_block(list(candidates), verts)
+    _refuse_if_uncertified(dcos)
+    # float32, so that the co-membership counts below are a BLAS product
+    near = (dcos <= k).astype(np.float32)
     depth = 0
-    for P in candidates:
-        for side in sides:
-            inside = [v for v in side if dist_to_coset(spec, backend, P, v) <= k]
-            if len(inside) < 2:
-                continue
-            diam = max(
-                backend.distance(a, b) for a, b in combinations(inside, 2)
-            )
-            depth = max(depth, diam)
+    for span in spans:
+        side_near = near[:, span]
+        shared = (side_near.T @ side_near) > 0
+        depth = max(depth, int(dmat[span, span][shared].max(initial=0)))
     return depth
 
 
-def _thinness(backend, sides) -> int:
+def _thinness(spans, dmat) -> int:
+    """Worst distance from a side vertex to the union of the other two sides."""
     delta = 0
-    for s in range(3):
-        others = sides[(s + 1) % 3] + sides[(s + 2) % 3]
-        for v in sides[s]:
-            nearest = min(backend.distance(v, w) for w in others)
-            delta = max(delta, nearest)
+    for s, span in enumerate(spans):
+        others = np.r_[spans[(s + 1) % 3], spans[(s + 2) % 3]]
+        block = dmat[span][:, others]
+        _refuse_if_uncertified(block)
+        delta = max(delta, int(block.min(axis=1).max()))
     return delta
 
 

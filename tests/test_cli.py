@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -256,3 +257,23 @@ def test_bfs_reports_identical_across_hash_seeds(tmp_path):
     assert "ap.csv" in names and "summary.txt" in names
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("hat_radius", "-1", "hat_radius must be nonnegative, got -1"),
+        ("coset_radius", "-1", "coset_radius must be nonnegative, got -1"),
+        ("samples", "0", "samples must be at least 1, got 0"),
+    ],
+    ids=["hat_radius", "coset_radius", "samples"],
+)
+def test_bad_config_value_exit_two(tmp_path, capsys, key, value, message):
+    # each value would otherwise fail inside a suite, with a traceback and exit 4
+    text = open(config_path("c2c3.cfg")).read()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M))
+    assert getattr(parse_config(str(cfg)), key) == int(value)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "rep").exists()

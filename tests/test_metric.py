@@ -24,7 +24,8 @@ from periproj import (
     random_element,
 )
 from periproj.group import IDENTITY
-from periproj.peripheral import coset_member, cosets_meeting_ball
+from periproj.peripheral import coset_member, coset_of, cosets_meeting_ball
+from periproj.verify import triangle_sample
 
 
 def test_dist_exact_example(zxz2, zxz2_exact, zxz2_bfs6):
@@ -198,24 +199,88 @@ def test_coset_distances_match_scalar(request, name, sample_radius):
     assert (refused > 0) == isinstance(backend, BfsBackend)
 
 
-@pytest.mark.parametrize(
-    "name, radius",
-    [("c2c3_exact", 4), ("s3c2_exact", 4), ("zxz2_exact", 4), ("ext_bfs8", 6), ("zxz2_bfs6", 4)],
-)
+def _scalar_block(fn, rows, cols):
+    """fn over rows x cols, -1 where it raises OutOfRangeError."""
+    out = []
+    for r in rows:
+        line = []
+        for c in cols:
+            try:
+                line.append(fn(r, c))
+            except OutOfRangeError:
+                line.append(-1)
+        out.append(line)
+    return out
+
+
+def _mixed_inputs(spec, radius):
+    """Rectangular block inputs besides balls: long-syllable triangle
+    vertices, every syllable prefix of them, and ball elements on both
+    sides, so the block holds equal pairs and pairs where one element is a
+    proper prefix of the other."""
+    rng = random.Random(5)
+    long = [v for tri in triangle_sample(spec, rng, 8, exhaustive_radius=0) for v in tri]
+    prefixes = list(dict.fromkeys(v[:j] for v in long for j in range(len(v))))
+    xs = list(ball(spec, radius - 1)) + long
+    ys = prefixes + list(ball(spec, 1))[::-1] + long[::2]
+    assert len(xs) != len(ys) and set(xs) & set(ys)
+    assert any(x != y and y[: len(x)] == x for x in xs for y in ys)
+    assert any(x != y and x[: len(y)] == y for x in xs for y in ys)
+    assert max(len(v) for v in long) >= 3
+    return xs, ys
+
+
+BLOCK_CASES = [
+    ("c2c3_exact", 4), ("s3c2_exact", 4), ("zxz2_exact", 4), ("ext_bfs8", 6), ("zxz2_bfs6", 4),
+]
+
+
+@pytest.mark.parametrize("name, radius", BLOCK_CASES)
 def test_distance_block_matches_scalar(request, name, radius):
     # the block equals the scalar distance on every certified pair of the
-    # ball, and reads -1 exactly where the scalar path refuses
+    # ball and of rectangular mixed inputs, and reads -1 exactly where the
+    # scalar path refuses; empty inputs give empty blocks of the right shape
     backend = request.getfixturevalue(name)
-    xs = list(ball(backend.spec, radius))
-    block = backend.distance_block(xs, xs)
-    assert block.shape == (len(xs), len(xs)) and block.dtype.name == "int32"
+    spec = backend.spec
+    ball_xs = list(ball(spec, radius))
     refused = 0
-    for x, row in zip(xs, block.tolist()):
-        for y, got in zip(xs, row):
-            try:
-                expected = backend.distance(x, y)
-            except OutOfRangeError:
-                expected = -1
-                refused += 1
-            assert got == expected
+    for xs, ys in ((ball_xs, ball_xs), _mixed_inputs(spec, radius)):
+        block = backend.distance_block(xs, ys)
+        assert block.shape == (len(xs), len(ys)) and block.dtype.name == "int32"
+        expected = _scalar_block(backend.distance, xs, ys)
+        assert block.tolist() == expected
+        if xs is ball_xs:
+            refused = sum(row.count(-1) for row in expected)
     assert (refused > 0) == isinstance(backend, BfsBackend)
+    assert backend.distance_block([], ball_xs).shape == (0, len(ball_xs))
+    assert backend.distance_block(ball_xs, []).shape == (len(ball_xs), 0)
+
+
+@pytest.mark.parametrize("name, radius", BLOCK_CASES)
+def test_coset_distance_block_matches_scalar(request, name, radius):
+    # d(x, P) over cosets meeting a ball and cosets through long-syllable
+    # elements and their prefixes, against the scalar coset_distance
+    backend = request.getfixturevalue(name)
+    spec = backend.spec
+    xs, ys = _mixed_inputs(spec, radius)
+    xs = list(ball(spec, radius)) + xs
+    cosets = list(dict.fromkeys(
+        cosets_meeting_ball(spec, ball(spec, 2))
+        + [coset_of(spec, v, i) for v in ys for i in spec.peripheral_indices]
+    ))
+    block = backend.coset_distance_block(cosets, xs)
+    assert block.shape == (len(cosets), len(xs)) and block.dtype.name == "int32"
+    expected = _scalar_block(backend.coset_distance, cosets, xs)
+    assert block.tolist() == expected
+    assert (min(map(min, expected)) < 0) == isinstance(backend, BfsBackend)
+    assert backend.coset_distance_block([], xs).shape == (0, len(xs))
+    assert backend.coset_distance_block(cosets, []).shape == (len(cosets), 0)
+
+
+def test_exact_distance_block_overflow_raises(zxz2, zxz2_exact):
+    # two syllables of length 2^30: the distance 2^31 does not fit the int32
+    # block, which must refuse it rather than wrap
+    x = ((0, 2**30), (1, (2**30, 0)))
+    assert zxz2_exact.distance(IDENTITY, x) == 2**31
+    with pytest.raises(OverflowError):
+        zxz2_exact.distance_block([IDENTITY], [x])

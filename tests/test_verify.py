@@ -2,14 +2,23 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
-from periproj import parse_element
+from periproj import BfsBackend, ball, parse_element
 from periproj.errors import OutOfRangeError, TheoremViolationError
-from periproj.group import IDENTITY, element_str
-from periproj.peripheral import coset_member, coset_str
-from periproj.verify import axioms
+from periproj.group import IDENTITY, element_str, mul
+from periproj.peripheral import (
+    coset_member,
+    coset_of,
+    coset_str,
+    cosets_meeting_ball,
+    dist_to_coset,
+    member_coord,
+)
+from periproj.verify import axioms, thinness
 from periproj.verify import (
     SamplePlan,
     check_ap_axioms,
@@ -91,6 +100,57 @@ def test_ap1_block_matches_scalar_sweep(request, monkeypatch, spec_name, backend
     assert block.examined["ap1"] == scalar.examined["ap1"] > 0
     if backend_name == "ext_bfs8":
         assert block.constants["ap1"] > 0 and "ap1" in block.witnesses
+
+
+class _RefusingCosetBackend:
+    """Delegates to a backend, but its ``coset_distances`` reads -1 in the
+    cells (point, coordinate) listed in ``refused``."""
+
+    def __init__(self, backend, refused):
+        self.backend = backend
+        self.spec = backend.spec
+        self.refused = refused
+
+    def coset_distances(self, xs, P, coords):
+        block = self.backend.coset_distances(xs, P, coords)
+        for r, x in enumerate(xs):
+            for c, h in enumerate(coords):
+                if (x, h) in self.refused:
+                    block[r, c] = -1
+        return block
+
+
+def test_ap1_leaves_out_refused_projection_cells(c2c3_ext, ext_bfs8):
+    # refuse d(pi(x), p) in the cells that carry the worst slack: those
+    # pairs leave the examined count, and the constant falls to the worst
+    # slack over the pairs that remain
+    spec, backend = c2c3_ext, ext_bfs8
+    P = cosets_meeting_ball(spec, ball(spec, 1))[1]
+    coords = [member_coord(spec, P, p) for p in backend.coset_points(P)]
+    # sample points off the coset, so no sample row is a projection point
+    xs = [x for x in ball(spec, 4) if backend.coset_distance(P, x) >= 1]
+    proj = [backend.project(P, x) for x in xs]
+    pid, upts, _, _ = axioms.projection_ids(backend, proj)
+    dxpi = np.array([backend.distance(x, pi) for x, pi in zip(xs, proj)], dtype=np.int32)
+
+    def run_ap1(b):
+        constants, witnesses, examined = {"ap1": 0}, {}, {"ap1": 0}
+        axioms._ap1(spec, b, P, xs, pid, upts, dxpi, coords, constants, witnesses, examined)
+        return constants["ap1"], examined["ap1"]
+
+    slack = {
+        (x, h): int(dxpi[i]) + backend.distance(proj[i], coset_member(spec, P, h))
+        - backend.distance(x, coset_member(spec, P, h))
+        for i, x in enumerate(xs)
+        for h in coords
+    }
+    worst = max(slack.values())
+    refused = {(proj[xs.index(x)], h) for (x, h), v in slack.items() if v == worst}
+    assert not refused & {(x, h) for x in xs for h in coords}
+    kept = [v for (x, h), v in slack.items() if (proj[xs.index(x)], h) not in refused]
+    assert run_ap1(backend) == (worst, len(slack)) and worst > 0
+    assert run_ap1(_RefusingCosetBackend(backend, refused)) == (max(kept + [0]), len(kept))
+    assert 0 < len(kept) < len(slack) and max(kept) < worst
 
 
 def test_ap_in_coset_slack_zero(zxz2, zxz2_exact):
@@ -240,3 +300,97 @@ def test_thinness_sample_shapes(zxz2, zxz2_exact):
     report = thinness_scan(zxz2, zxz2_exact, 1, triangles[:50])
     assert len(report.rows) == 50
     assert report.skipped == 0
+
+
+def _scalar_penetration(spec, backend, sides, k, nbhd) -> int:
+    """Reference for the block penetration depth: scalar d(v, P) per side
+    vertex and candidate coset, scalar diameters of the inside sets."""
+    candidates: dict = {}
+    for side in sides:
+        for v in side:
+            for g in nbhd:
+                w = mul(spec, v, g)
+                for i in spec.peripheral_indices:
+                    candidates.setdefault(coset_of(spec, w, i), None)
+    depth = 0
+    for P in candidates:
+        for side in sides:
+            inside = [v for v in side if dist_to_coset(spec, backend, P, v) <= k]
+            if len(inside) < 2:
+                continue
+            diam = max(
+                backend.distance(a, b) for a, b in combinations(inside, 2)
+            )
+            depth = max(depth, diam)
+    return depth
+
+
+def _scalar_thinness(backend, sides) -> int:
+    delta = 0
+    for s in range(3):
+        others = sides[(s + 1) % 3] + sides[(s + 2) % 3]
+        for v in sides[s]:
+            nearest = min(backend.distance(v, w) for w in others)
+            delta = max(delta, nearest)
+    return delta
+
+
+def _scalar_thinness_scan(spec, backend, k, triangles):
+    """Reference for ``thinness_scan``: a triangle is skipped on the first
+    refused scalar query."""
+    report = thinness.ThinnessReport(group=spec.name or repr(spec), k=k)
+    nbhd = list(ball(spec, k)) if spec.peripheral_indices else [()]
+    for tri in triangles:
+        x, y, z = tri
+        try:
+            sides = [
+                backend.geodesic(x, y).vertices,
+                backend.geodesic(y, z).vertices,
+                backend.geodesic(z, x).vertices,
+            ]
+            depth = _scalar_penetration(spec, backend, sides, k, nbhd)
+            delta = _scalar_thinness(backend, sides)
+        except OutOfRangeError:
+            report.skipped += 1
+            continue
+        perimeter = sum(len(s) - 1 for s in sides)
+        report.rows.append(thinness.ThinnessRow(tri, depth, delta, perimeter))
+    report.flagged = thinness._flag_families(report.rows)
+    return report
+
+
+def test_thinness_blocks_match_scalar_exact(zxz2, zxz2_exact):
+    triangles = triangle_sample(zxz2, random.Random(7), 60)
+    block = thinness_scan(zxz2, zxz2_exact, 1, triangles)
+    scalar = _scalar_thinness_scan(zxz2, zxz2_exact, 1, triangles)
+    assert block.rows == scalar.rows
+    assert block.skipped == scalar.skipped == 0
+    assert block.flagged == scalar.flagged
+    assert max(r.depth for r in block.rows) >= 6
+
+
+def test_thinness_blocks_match_scalar_bfs_skips(c2c3_ext):
+    # a small ball refuses many triangle queries: the block scan must skip
+    # exactly the triangles on which the scalar scan hits a refusal
+    backend = BfsBackend(c2c3_ext, 4)
+    elems = list(ball(c2c3_ext, 3))
+    rng = random.Random(1)
+    triangles = [tuple(elems[rng.randrange(len(elems))] for _ in range(3)) for _ in range(60)]
+    block = thinness_scan(c2c3_ext, backend, 1, triangles)
+    scalar = _scalar_thinness_scan(c2c3_ext, backend, 1, triangles)
+    assert block.rows == scalar.rows
+    assert block.skipped == scalar.skipped == 47
+    assert block.flagged == scalar.flagged
+    assert len(block.rows) == 13
+
+
+def test_thinness_refuses_uncertified_cross_pair():
+    # d(v, w) across two sides is used by the thinness minimum, so a refused
+    # cross entry skips the triangle; a refused entry within a side is not used
+    spans = [slice(0, 2), slice(2, 4), slice(4, 6)]
+    dmat = np.ones((6, 6), dtype=np.int32)
+    dmat[0, 1] = -1
+    assert thinness._thinness(spans, dmat) == 1
+    dmat[0, 3] = -1
+    with pytest.raises(OutOfRangeError):
+        thinness._thinness(spans, dmat)
