@@ -45,12 +45,9 @@ from .peripheral import (
     coset_str,
     cosets_meeting_ball,
     dist_to_coset,
-    gate_projection,
-    proj_bruteforce,
     proj_conedoff,
     proj_entrypoint,
     projection,
-    projection_distance,
     separating_cosets,
 )
 from .conedoff import (

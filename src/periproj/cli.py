@@ -32,7 +32,7 @@ from .errors import (
 from .factor import CyclicFactor, FreeAbelianRank2Factor, InfiniteCyclicFactor, TableFactor
 from .group import GroupSpec, ball, parse_element
 from .metric import BfsBackend, ExactBackend, quasigeodesic_constants
-from .conedoff import ConedOffBackend, check_bcp, dist_hat, geodesic_hat, lift
+from .conedoff import ConedOffBackend, check_bcp, dist_hat, lift
 from .verify import (
     SamplePlan,
     check_ap_axioms,
@@ -211,9 +211,10 @@ def run(config: RunConfig) -> int:
         hat_backend = None
         if spec.peripheral_indices:
             hat_backend = ConedOffBackend(spec, radius=config.hat_radius, cap=config.ball_cap)
+        shared: dict = {}  # results several suites read, computed once per run
         for suite in config.suites:
             runner = _SUITE_RUNNERS[suite]
-            result = runner(config, spec, backend, hat_backend)
+            result = runner(config, spec, backend, hat_backend, shared)
             results.append(result)
             violations += result.violations
     except TheoremViolationError as exc:
@@ -277,7 +278,7 @@ def _write_summary(config: RunConfig, results) -> None:
 # --- suites -----------------------------------------------------------------
 
 
-def _suite_oracle(config, spec, backend, hat_backend) -> SuiteResult:
+def _suite_oracle(config, spec, backend, hat_backend, shared) -> SuiteResult:
     rows = []
     mismatches = 0
     examined = 0
@@ -320,7 +321,7 @@ def _suite_oracle(config, spec, backend, hat_backend) -> SuiteResult:
     )
 
 
-def _suite_ap(config, spec, backend, hat_backend) -> SuiteResult:
+def _suite_ap(config, spec, backend, hat_backend, shared) -> SuiteResult:
     report = check_ap_axioms(spec, backend, config.sample_radius, config.coset_radius)
     rows = [
         [axiom, report.constants[axiom], report.examined[axiom],
@@ -350,7 +351,7 @@ def _ap_constant(config, spec, backend) -> int:
     ).projection_constant
 
 
-def _suite_battery(config, spec, backend, hat_backend) -> SuiteResult:
+def _suite_battery(config, spec, backend, hat_backend, shared) -> SuiteResult:
     c = _ap_constant(config, spec, backend)
     plan = SamplePlan(
         seed=config.seed,
@@ -358,7 +359,7 @@ def _suite_battery(config, spec, backend, hat_backend) -> SuiteResult:
         sample_radius=min(config.sample_radius, 3),
         coset_radius=min(config.coset_radius, 2),
     )
-    report = lemma_battery(spec, backend, c, plan, hat_backend=hat_backend)
+    report = lemma_battery(spec, backend, c, plan, hat_backend)
     rows = [
         [row.name, row.examined, row.skipped, row.violations,
          row.min_margin if row.min_margin is not None else "",
@@ -376,10 +377,17 @@ def _suite_battery(config, spec, backend, hat_backend) -> SuiteResult:
     )
 
 
-def _suite_dstg(config, spec, backend, hat_backend) -> SuiteResult:
-    consts = estimate_dstg_constants(
-        spec, backend, min(config.sample_radius, 3), hat_backend=hat_backend
-    )
+def _dstg_constants(config, spec, backend, hat_backend, shared):
+    """The run's dstg constants, estimated on first use and kept in ``shared``."""
+    if "dstg" not in shared:
+        shared["dstg"] = estimate_dstg_constants(
+            spec, backend, min(config.sample_radius, 3), hat_backend
+        )
+    return shared["dstg"]
+
+
+def _suite_dstg(config, spec, backend, hat_backend, shared) -> SuiteResult:
+    consts = _dstg_constants(config, spec, backend, hat_backend, shared)
     rows = [["m", consts.m, consts.examined["m"]]]
     for h, b in sorted(consts.b_by_h.items()):
         rows.append([f"b{h}", b, consts.examined["b"]])
@@ -412,43 +420,39 @@ def _certified_pairs(config, spec, rng, n, max_syllables, max_syllable_len):
     ]
 
 
-def _suite_formula(config, spec, backend, hat_backend) -> SuiteResult:
-    consts = estimate_dstg_constants(
-        spec, backend, min(config.sample_radius, 3), hat_backend=hat_backend
-    )
+def _suite_formula(config, spec, backend, hat_backend, shared) -> SuiteResult:
+    consts = _dstg_constants(config, spec, backend, hat_backend, shared)
     rng = random.Random(config.seed)
     pairs = _certified_pairs(config, spec, rng, config.samples, 10, 12)
     sigma, entry_m = consts.sigma_by_d[0], consts.entry_m_by_d[0]
-    usable = []
+    evals = []
     skipped = 0
     for x, y in pairs:
         try:
-            distance_formula(
-                spec, x, y, config.thresholds, backend=backend,
-                hat_backend=hat_backend, sigma=sigma, entry_m=entry_m,
-            )
-            usable.append((x, y))
+            evals.append(distance_formula(
+                spec, x, y, config.thresholds, backend, hat_backend,
+                sigma=sigma, entry_m=entry_m,
+            ))
         except OutOfRangeError:
             skipped += 1
-    rows_out = []
-    fit = fit_formula_constants(
-        spec, usable, config.thresholds, backend=backend, hat_backend=hat_backend,
-        sigma=sigma, entry_m=entry_m,
-    )
-    for row in fit:
-        rows_out.append([row.threshold, str(row.lam), row.mu, row.witness])
+    if not evals:
+        raise OutOfRangeError(f"formula: none of the {len(pairs)} sampled pairs is certified")
+    rows_out = [
+        [row.threshold, str(row.lam), row.mu, row.witness]
+        for row in fit_formula_constants(spec, evals, config.thresholds)
+    ]
     return SuiteResult(
         name="formula",
         rows=rows_out,
         header=["L", "lambda", "mu", "witness"],
         summary=[f"L={r[0]}: lambda={r[1]} mu={r[2]}" for r in rows_out]
         + [f"sigma={sigma} entry_m={entry_m}"],
-        examined=len(usable) * len(config.thresholds),
+        examined=len(evals) * len(config.thresholds),
         skipped=skipped,
     )
 
 
-def _suite_bcp(config, spec, backend, hat_backend) -> SuiteResult:
+def _suite_bcp(config, spec, backend, hat_backend, shared) -> SuiteResult:
     targets = list(ball(spec, min(config.sample_radius, config.hat_radius)))
     max_c1 = 0
     max_c2 = 0
@@ -479,7 +483,7 @@ def _suite_bcp(config, spec, backend, hat_backend) -> SuiteResult:
     )
 
 
-def _suite_lifts(config, spec, backend, hat_backend) -> SuiteResult:
+def _suite_lifts(config, spec, backend, hat_backend, shared) -> SuiteResult:
     rng = random.Random(config.seed)
     pairs = _certified_pairs(config, spec, rng, config.samples, 4, 4)
     max_mu = 0
@@ -487,8 +491,7 @@ def _suite_lifts(config, spec, backend, hat_backend) -> SuiteResult:
     skipped = 0
     for x, y in pairs:
         try:
-            hp = geodesic_hat(spec, x, y) if spec.is_standard else hat_backend.geodesic(x, y)
-            lifted = lift(spec, hp)
+            lifted = lift(spec, hat_backend.geodesic(x, y))
             _, mu = quasigeodesic_constants(lifted, backend)
         except OutOfRangeError:
             skipped += 1
@@ -506,7 +509,7 @@ def _suite_lifts(config, spec, backend, hat_backend) -> SuiteResult:
     )
 
 
-def _suite_thinness(config, spec, backend, hat_backend) -> SuiteResult:
+def _suite_thinness(config, spec, backend, hat_backend, shared) -> SuiteResult:
     rng = random.Random(config.seed)
     if config.mode == "exact":
         triangles = triangle_sample(spec, rng, config.samples)
@@ -570,7 +573,11 @@ def main(argv=None) -> int:
         if args.suite is not None:
             config = replace(config, suites=[s for s in args.suite.split(",") if s])
         if args.L:
-            config = replace(config, thresholds=[int(t) for t in args.L.split(",")])
+            try:
+                thresholds = [int(t) for t in args.L.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"bad --L thresholds {args.L!r}: {exc}") from exc
+            config = replace(config, thresholds=thresholds)
         if args.radius is not None:
             config = replace(config, radius=args.radius, hat_radius=args.radius)
         if args.samples is not None:

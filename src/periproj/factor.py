@@ -85,6 +85,14 @@ class Factor:
         """Total-order key used for deterministic tie-breaking."""
         return x
 
+    def random_coord(self, rng, max_exponent: int):
+        """A seeded nontrivial coordinate, exponents bounded by ``max_exponent``."""
+        raise NotImplementedError
+
+    def random_coord_by_length(self, rng, max_len: int):
+        """A seeded nontrivial coordinate of word length <= ``max_len``."""
+        return self.random_coord(rng, max_len)
+
     def geodesic(self, x, y) -> list:
         """Vertex path from ``x`` to ``y`` of length ``length(inv(x)*y)``.
 
@@ -155,6 +163,9 @@ class CyclicFactor(Factor):
     def diameter(self) -> int:
         return self.n // 2
 
+    def random_coord(self, rng, max_exponent: int):
+        return rng.randint(1, self.n - 1)
+
     def syllable_tokens(self, x) -> list[str]:
         return [f"{self.labels[0]}^{x}"]
 
@@ -202,6 +213,10 @@ class InfiniteCyclicFactor(Factor):
 
     def diameter(self) -> None:
         return None
+
+    def random_coord(self, rng, max_exponent: int):
+        mag = rng.randint(1, max_exponent)
+        return mag if rng.random() < 0.5 else -mag
 
     def syllable_tokens(self, x) -> list[str]:
         return [f"{self.labels[0]}^{x}"]
@@ -265,6 +280,23 @@ class FreeAbelianRank2Factor(Factor):
 
     def diameter(self) -> None:
         return None
+
+    def random_coord(self, rng, max_exponent: int):
+        """Uniform over the nonzero points of the box [-m, m]^2."""
+        while True:
+            a = rng.randint(-max_exponent, max_exponent)
+            b = rng.randint(-max_exponent, max_exponent)
+            if (a, b) != (0, 0):
+                return (a, b)
+
+    def random_coord_by_length(self, rng, max_len: int):
+        """A uniform L1 length, then a point of that length."""
+        total = rng.randint(1, max_len)
+        a = rng.randint(-total, total)
+        b = total - abs(a)
+        if b and rng.random() < 0.5:
+            b = -b
+        return (a, b)
 
     def syllable_tokens(self, x) -> list[str]:
         toks = []
@@ -385,6 +417,9 @@ class TableFactor(Factor):
 
     def diameter(self) -> int:
         return max(self._length)
+
+    def random_coord(self, rng, max_exponent: int):
+        return rng.choice([i for i in range(self.n) if i != self.identity])
 
     def syllable_tokens(self, x) -> list[str]:
         return [f"{self.labels[0]}[{x}]"]

@@ -286,22 +286,6 @@ def random_element(
         fi = rng.randrange(nfac)
         if fi == prev:
             fi = (fi + 1 + rng.randrange(nfac - 1)) % nfac
-        syls.append((fi, _random_coord(spec.factors[fi], rng, max_exponent)))
+        syls.append((fi, spec.factors[fi].random_coord(rng, max_exponent)))
         prev = fi
     return tuple(syls)
-
-
-def _random_coord(f: Factor, rng, max_exponent: int):
-    if f.kind == "cyclic":
-        return rng.randint(1, f.n - 1)
-    if f.kind == "z":
-        mag = rng.randint(1, max_exponent)
-        return mag if rng.random() < 0.5 else -mag
-    if f.kind == "z2":
-        while True:
-            a = rng.randint(-max_exponent, max_exponent)
-            b = rng.randint(-max_exponent, max_exponent)
-            if (a, b) != (0, 0):
-                return (a, b)
-    nontrivial = [i for i in range(f.n) if i != f.identity]
-    return rng.choice(nontrivial)

@@ -12,11 +12,14 @@ Two interchangeable backends answer the same metric interface:
   lookup of ``x^-1 y``.
 
 The interface: ``distance`` and ``geodesic``; the blocks ``distance_block(xs,
-ys)``, ``coset_distances(xs, P, coords)`` and ``coset_distance_block(cosets,
-xs)`` as int32 arrays with -1 where a value is not certified; and the coset
-queries ``coset_points``, ``coset_minimizers``, ``project`` and
-``coset_distance``.  Code outside this module never chooses between the two
-modes.
+ys)`` and ``coset_distance_block(cosets, xs)`` as int32 arrays with -1 where a
+value is not certified; and the coset queries ``coset_points``,
+``coset_minimizers``, ``project`` and ``coset_distance``.  Code outside this
+module never chooses between the two modes.
+
+Projection routes: ``project`` is the canonical point (the gate
+``peripheral.gate_point`` in exact mode, the least certified minimizer in BFS
+mode) and ``coset_minimizers`` the whole certified minimizing set.
 
 Exact blocks never multiply elements: both inputs are encoded by their
 syllable prefixes (paths in the Bass-Serre tree of the free product), and
@@ -226,34 +229,6 @@ class ExactBackend:
             self.spec, [P.rep for P in cosets], xs, [P.factor_index for P in cosets]
         )
 
-    def coset_distances(self, xs, P: Coset, coords) -> np.ndarray:
-        """d(x, rep*h) for x in ``xs`` (rows) and h in ``coords`` (columns).
-
-        Write x^-1 rep = w' s with s its trailing P-factor coordinate (or the
-        identity).  Then x^-1 rep h = w' (s h) in normal form, so the distance
-        is |w'| + len_f(s h), read from a table over the distinct s.
-        """
-        spec = self.spec
-        i = P.factor_index
-        f = spec.factors[i]
-        base = np.empty(len(xs), dtype=np.int32)
-        sid = np.empty(len(xs), dtype=np.intp)
-        s_ids: dict = {}
-        for k, x in enumerate(xs):
-            w = mul(spec, inv(spec, x), P.rep)
-            if w and w[-1][0] == i:
-                s = w[-1][1]
-                w = w[:-1]
-            else:
-                s = f.identity
-            base[k] = syllable_length(spec, w)
-            sid[k] = s_ids.setdefault(s, len(s_ids))
-        lengths = np.array(
-            [[f.length(f.mul(s, h)) for h in coords] for s in s_ids],
-            dtype=np.int32,
-        ).reshape(len(s_ids), len(coords))
-        return base[:, None] + lengths[sid]
-
     def coset_points(self, P: Coset, level_cap: int) -> list[Element]:
         """The points of P at factor levels 0..``level_cap``."""
         f = self.spec.factors[P.factor_index]
@@ -367,10 +342,6 @@ class BfsBackend:
             xi = inv(spec, x)
             out[k] = [table.get(mul(spec, xi, y), -1) for y in ys]
         return out
-
-    def coset_distances(self, xs, P: Coset, coords) -> np.ndarray:
-        """d(x, rep*h) for x in ``xs`` (rows) and h in ``coords`` (columns)."""
-        return self.distance_block(xs, [coset_member(self.spec, P, h) for h in coords])
 
     def coset_distance_block(self, cosets, xs) -> np.ndarray:
         """d(x, P) for P in ``cosets`` (rows) and x in ``xs`` (columns), -1

@@ -4,18 +4,20 @@ A coset ``g H_i`` of a peripheral factor is identified structurally by its
 factor index and canonical representative (the normal form of ``g`` with any
 trailing ``i``-syllable stripped), so coset equality is O(1).
 
-Three projection routes are provided:
+Projection routes:
 
-* ``gate_projection``: closed form for the standard generating set; writes
+* ``gate_point``: closed form for the standard generating set; writes
   ``w = rep^-1 x`` and gates through the leading ``i``-syllable of ``w``.
-  This is the unique distance-minimizing point in that regime.
-* ``proj_bruteforce``: the certified set of distance minimizers over the
-  coset, from the backend's ``coset_minimizers``; the certificate guarantees
-  the true minimum was seen, or OutOfRangeError is raised.  With a BFS
-  backend the minimizers are the first ball members of x^-1 P in BFS order,
-  translated by x.
+  This is the unique distance-minimizing point in that regime, and
+  ``ExactBackend.project`` returns it.
+* the backend's ``coset_minimizers``: the certified set of distance
+  minimizers over the coset; the certificate guarantees the true minimum was
+  seen, or OutOfRangeError is raised.  With a BFS backend the minimizers are
+  the first ball members of x^-1 P in BFS order, translated by x, and
+  ``BfsBackend.project`` returns the least of them.
 * ``proj_entrypoint`` / ``proj_conedoff``: first path vertex entering a
-  neighborhood of the coset, along a metric geodesic or a coned-off geodesic.
+  neighborhood of the coset, along a metric geodesic or a coned-off geodesic
+  (the paper's alternative projections).
 
 ``projection`` and ``dist_to_coset``, the canonical projection point and
 d(x, P) that the verification suites use, are answered by the backend.
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidFactorError, UnsupportedMetricError
+from .errors import InvalidFactorError
 from .group import (
     Element,
     GroupSpec,
@@ -98,16 +100,6 @@ def contains(spec: GroupSpec, coset: Coset, x: Element) -> bool:
     return coset_of(spec, x, coset.factor_index) == coset
 
 
-def gate_projection(spec: GroupSpec, P: Coset, x: Element) -> ProjectionResult:
-    """Exact closest point of P in the standard-generator metric."""
-    if not spec.is_standard:
-        raise UnsupportedMetricError(
-            "gate projection is exact only for the standard generating set; "
-            "use proj_bruteforce"
-        )
-    return ProjectionResult(gate_point(spec, P, x), "gate")
-
-
 def gate_point(spec: GroupSpec, P: Coset, x: Element) -> Element:
     """rep times the leading P-syllable of rep^-1 x (the rep when none)."""
     w = mul(spec, inv(spec, P.rep), x)
@@ -121,31 +113,10 @@ def dist_to_coset(spec: GroupSpec, backend, P: Coset, x: Element) -> int:
     return backend.coset_distance(P, x)
 
 
-def proj_bruteforce(
-    spec: GroupSpec, backend, P: Coset, x: Element, search_radius: int
-) -> frozenset:
-    """The full set of coset points minimizing the distance to x, certified.
-
-    The certificate is ``d(x, P) < search_radius``: every coset point outside
-    the searched region is then strictly farther than the found minimum, so
-    the returned set is exactly the minimizing set.  Raises OutOfRangeError
-    when the certificate fails.
-    """
-    _, points = backend.coset_minimizers(P, x, search_radius)
-    return frozenset(points)
-
-
 def projection(spec: GroupSpec, backend, P: Coset, x: Element) -> Element:
     """The canonical projection point: gate in exact mode, else the
     deterministically-least element of the certified minimizing set."""
     return backend.project(P, x)
-
-
-def projection_distance(spec: GroupSpec, backend, P: Coset, x: Element, y: Element) -> int:
-    """d(pi_P(x), pi_P(y)) under the backend's metric."""
-    px = projection(spec, backend, P, x)
-    py = projection(spec, backend, P, y)
-    return backend.distance(px, py)
 
 
 def proj_entrypoint(

@@ -26,13 +26,7 @@ import numpy as np
 
 from ..errors import OutOfRangeError
 from ..group import GroupSpec, ball, element_str
-from ..peripheral import (
-    coset_member,
-    coset_str,
-    cosets_meeting_ball,
-    member_coord,
-    projection,
-)
+from ..peripheral import coset_str, cosets_meeting_ball, projection
 
 
 @dataclass
@@ -90,7 +84,6 @@ def check_ap_axioms(
 
     points = {P: backend.coset_points(P, level_cap) for P in cosets}
     for P, p_points in points.items():
-        coords = [member_coord(spec, P, p) for p in p_points]
         # canonical projection of every sample point, None when uncertifiable
         proj_pts: list = []
         for x in xs:
@@ -118,7 +111,7 @@ def check_ap_axioms(
         pid, upts, pdist, refused = projection_ids(backend, proj_pts)
         skipped += refused
 
-        _ap1(spec, backend, P, xs, pid, upts, dxpi, coords, constants, witnesses, examined)
+        _ap1(spec, backend, P, xs, pid, upts, dxpi, p_points, constants, witnesses, examined)
         _ap2(spec, P, xs, pid, pdist, dmat, dP, constants, witnesses, examined)
         _ap1p(spec, P, xs, proj_pts, dxpi, dP, constants, witnesses, examined)
         _ap2p(spec, P, xs, pid, pdist, dmat, dxpi, constants, witnesses, examined)
@@ -142,15 +135,15 @@ def check_ap_axioms(
     return report
 
 
-def _ap1(spec, backend, P, xs, pid, upts, dxpi, coords, constants, witnesses, examined):
+def _ap1(spec, backend, P, xs, pid, upts, dxpi, p_points, constants, witnesses, examined):
     """Slack d(x, pi(x)) + d(pi(x), p) - d(x, p) over every certified pair
-    (x, p), one block per coset; the witness is the first maximum in
-    row-major (x, then p) order."""
+    (x, p) with p in ``p_points``, one block per coset; the witness is the
+    first maximum in row-major (x, then p) order."""
     rows = np.flatnonzero(pid >= 0)
-    if not len(rows) or not coords:
+    if not len(rows) or not p_points:
         return
-    d_xp = backend.coset_distances([xs[r] for r in rows], P, coords)
-    d_pip = backend.coset_distances(upts, P, coords)[pid[rows]]
+    d_xp = backend.distance_block([xs[r] for r in rows], p_points)
+    d_pip = backend.distance_block(upts, p_points)[pid[rows]]
     ok = (d_xp >= 0) & (d_pip >= 0)
     examined["ap1"] += int(ok.sum())
     slack = np.where(ok, dxpi[rows][:, None] + d_pip - d_xp, np.iinfo(np.int32).min)
@@ -160,7 +153,7 @@ def _ap1(spec, backend, P, xs, pid, upts, dxpi, coords, constants, witnesses, ex
         constants["ap1"] = worst
         witnesses["ap1"] = {
             "x": element_str(spec, xs[rows[a]]),
-            "p": element_str(spec, coset_member(spec, P, coords[b])),
+            "p": element_str(spec, p_points[b]),
             "coset": coset_str(spec, P),
             "slack": worst,
         }

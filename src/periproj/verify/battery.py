@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import OutOfRangeError
 from ..group import GroupSpec, ball, element_str
 from ..metric import quasigeodesic_constants
-from ..conedoff import geodesic_hat, lift
+from ..conedoff import lift
 from ..peripheral import (
     cosets_meeting_ball,
     coset_str,
@@ -92,8 +92,11 @@ def lemma_battery(
     backend,
     ap_c: int,
     plan: SamplePlan,
-    hat_backend=None,
+    hat_backend,
 ) -> BatteryReport:
+    """Every lemma row over the plan's samples; ``hat_backend`` is the
+    coned-off backend, None only for a group without peripheral factors
+    (then no lifted paths are built)."""
     rng = random.Random(plan.seed)
     C = ap_c
     report = BatteryReport(group=spec.name or repr(spec), c=C)
@@ -158,10 +161,10 @@ def _build_paths(spec, backend, hat_backend, rng, pairs, plan, rows) -> list:
             paths.append(_Path(g.vertices, 0, "geodesic"))
         except OutOfRangeError:
             continue
-    if spec.peripheral_indices:
+    if hat_backend is not None:
         for x, y in pairs:
             try:
-                hp = geodesic_hat(spec, x, y) if hat_backend is None else hat_backend.geodesic(x, y)
+                hp = hat_backend.geodesic(x, y)
                 lifted = lift(spec, hp)
                 _, mu = quasigeodesic_constants(lifted, backend)
                 paths.append(_Path(lifted.vertices, mu, "lift"))

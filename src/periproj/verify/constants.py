@@ -26,7 +26,6 @@ import numpy as np
 from ..errors import OutOfRangeError
 from ..group import GroupSpec, ball, element_str
 from ..metric import enumerate_geodesics
-from ..conedoff import geodesic_hat
 from ..peripheral import (
     contains,
     coset_str,
@@ -56,9 +55,12 @@ def estimate_dstg_constants(
     spec: GroupSpec,
     backend,
     radius: int,
-    hat_backend=None,
+    hat_backend,
     plan: SamplePlan | None = None,
 ) -> DstgConstants:
+    """The ambient constants over ball(``radius``); ``hat_backend`` is the
+    coned-off backend, None only for a group without peripheral factors
+    (then ``hat_entry_m`` stays 0)."""
     plan = plan or SamplePlan()
     xs = list(ball(spec, radius))
     cosets = cosets_meeting_ball(spec, ball(spec, max(1, radius - 1)))
@@ -222,7 +224,6 @@ def _measure_sigma(spec, backend, cosets, xs, dcos, plan, witnesses, examined) -
 def _measure_entry(spec, backend, hat_backend, xs, cosets, radius, witnesses, examined):
     entry_by_d = {}
     hat_entry = 0
-    use_hat = spec.peripheral_indices and (spec.is_standard or hat_backend is not None)
     for depth in (0, 1):
         best = 0
         for P in cosets:
@@ -245,13 +246,9 @@ def _measure_entry(spec, backend, hat_backend, xs, cosets, radius, witnesses, ex
                         "x": element_str(spec, x),
                         "coset": coset_str(spec, P),
                     }
-                if depth == 0 and use_hat:
+                if depth == 0 and hat_backend is not None:
                     try:
-                        hp = (
-                            geodesic_hat(spec, x, P.rep)
-                            if hat_backend is None
-                            else hat_backend.geodesic(x, P.rep)
-                        )
+                        hp = hat_backend.geodesic(x, P.rep)
                         first = next(v for v in hp.vertices if contains(spec, P, v))
                         hd = backend.distance(first, pix)
                     except OutOfRangeError:

@@ -16,8 +16,6 @@ from fractions import Fraction
 
 from ..errors import TheoremViolationError
 from ..group import Element, GroupSpec, element_str
-from ..metric import ExactBackend
-from ..conedoff import dist_hat
 from ..peripheral import projection, separating_cosets
 
 
@@ -54,8 +52,8 @@ def distance_formula(
     x: Element,
     y: Element,
     thresholds,
-    backend=None,
-    hat_backend=None,
+    backend,
+    hat_backend,
     *,
     sigma: int,
     entry_m: int,
@@ -66,11 +64,8 @@ def distance_formula(
     2*sigma + 2*entry_m) is a theorem; its failure raises
     TheoremViolationError rather than being reported as data.
     """
-    backend = backend or ExactBackend(spec)
     lhs = backend.distance(x, y)
-    dhat = (
-        dist_hat(spec, x, y) if hat_backend is None else hat_backend.distance(x, y)
-    )
+    dhat = hat_backend.distance(x, y)
     terms = []
     for P in separating_cosets(spec, x, y):
         px = projection(spec, backend, P, x)
@@ -101,32 +96,17 @@ def distance_formula(
     )
 
 
-def fit_formula_constants(
-    spec: GroupSpec,
-    sample_pairs,
-    thresholds,
-    backend=None,
-    hat_backend=None,
-    *,
-    sigma: int,
-    entry_m: int,
-) -> list[FitRow]:
-    """Per threshold, the minimal lambda with mu = 0 covering every pair.
+def fit_formula_constants(spec: GroupSpec, evals, thresholds) -> list[FitRow]:
+    """Per threshold, the minimal lambda with mu = 0 covering every evaluated
+    pair (``evals`` are ``distance_formula`` results at these thresholds).
 
     lambda is the worst two-sided ratio max(lhs/rhs, rhs/lhs); identical pairs
     contribute nothing (both sides are 0).  Raises ValueError on an empty
     sample.
     """
-    pairs = list(sample_pairs)
-    if not pairs:
+    evals = list(evals)
+    if not evals:
         raise ValueError("fit_formula_constants needs a nonempty sample")
-    evals = [
-        distance_formula(
-            spec, x, y, thresholds, backend=backend, hat_backend=hat_backend,
-            sigma=sigma, entry_m=entry_m,
-        )
-        for x, y in pairs
-    ]
     rows = []
     for L in thresholds:
         lam = Fraction(1)

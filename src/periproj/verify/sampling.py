@@ -42,29 +42,9 @@ def random_element_by_length(
         fi = rng.randrange(nfac)
         if fi == prev:
             fi = (fi + 1 + rng.randrange(nfac - 1)) % nfac
-        syls.append((fi, _coord_by_length(spec.factors[fi], rng, max_syllable_len)))
+        syls.append((fi, spec.factors[fi].random_coord_by_length(rng, max_syllable_len)))
         prev = fi
     return tuple(syls)
-
-
-def _coord_by_length(f, rng, max_len: int):
-    kind = f.kind
-    if kind == "cyclic":
-        return rng.randint(1, f.n - 1)
-    if kind == "z":
-        mag = rng.randint(1, max_len)
-        return mag if rng.random() < 0.5 else -mag
-    if kind == "z2":
-        total = rng.randint(1, max_len)
-        a = rng.randint(-total, total)
-        b = total - abs(a)
-        if b and rng.random() < 0.5:
-            b = -b
-        if (a, b) == (0, 0):  # pragma: no cover - total >= 1 forbids this
-            a = total
-        return (a, b)
-    nontrivial = [i for i in range(f.n) if i != f.identity]
-    return rng.choice(nontrivial)
 
 
 def seeded_pairs(

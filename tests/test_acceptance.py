@@ -22,18 +22,16 @@ from periproj import (
     InfiniteCyclicFactor,
     ball,
     check_bcp,
-    gate_projection,
     geodesic_hat,
     inv,
     lift,
     mul,
     parse_element,
-    proj_bruteforce,
     quasigeodesic_constants,
     syllable_length,
 )
 from periproj.group import IDENTITY
-from periproj.peripheral import cosets_meeting_ball
+from periproj.peripheral import cosets_meeting_ball, gate_point
 from periproj.verify import (
     SamplePlan,
     check_ap_axioms,
@@ -117,8 +115,8 @@ def test_c02_projection_exactness():
     for P in cosets:
         for x in xs:
             search = backend.distance(x, P.rep) + 1
-            minimizers = proj_bruteforce(ZXZ2, backend, P, x, search)
-            if minimizers != frozenset([gate_projection(ZXZ2, P, x).point]):
+            _, minimizers = backend.coset_minimizers(P, x, search)
+            if frozenset(minimizers) != frozenset([gate_point(ZXZ2, P, x)]):
                 bad += 1
     _check(
         "criterion 2 (projection exactness)",
@@ -173,8 +171,8 @@ def test_c05_lemma_battery():
     ok = True
     details = []
     runs = (
-        (C2C3, ExactBackend(C2C3), 0, SamplePlan(seed=11), None),
-        (ZXZ2, ExactBackend(ZXZ2), 0, SamplePlan(seed=11), None),
+        (C2C3, ExactBackend(C2C3), 0, SamplePlan(seed=11), ConedOffBackend(C2C3)),
+        (ZXZ2, ExactBackend(ZXZ2), 0, SamplePlan(seed=11), ConedOffBackend(ZXZ2)),
         (
             EXT,
             BfsBackend(EXT, 8),
@@ -184,7 +182,7 @@ def test_c05_lemma_battery():
         ),
     )
     for spec, backend, c, plan, hat in runs:
-        report = lemma_battery(spec, backend, c, plan, hat_backend=hat)
+        report = lemma_battery(spec, backend, c, plan, hat)
         ok = ok and report.total_violations == 0 and report.total_examined >= 10_000
         details.append(
             f"{spec.name}: {report.total_examined} configs, {report.total_violations} violations"
@@ -195,18 +193,25 @@ def test_c05_lemma_battery():
 def test_c06_distance_formula():
     started = time.time()
     backend = ExactBackend(ZXZ2)
-    consts = estimate_dstg_constants(ZXZ2, backend, 3)
+    hat = ConedOffBackend(ZXZ2)
+    consts = estimate_dstg_constants(ZXZ2, backend, 3, hat)
     sigma, entry_m = consts.sigma_by_d[0], consts.entry_m_by_d[0]
     rng = random.Random(7)
     pairs = seeded_pairs(ZXZ2, rng, 200, 10, 12)
     # estimate (2) is asserted inside every evaluation
-    rows = fit_formula_constants(ZXZ2, pairs, [4], sigma=sigma, entry_m=entry_m)
+    evals = [
+        distance_formula(ZXZ2, x, y, [4], backend, hat, sigma=sigma, entry_m=entry_m)
+        for x, y in pairs
+    ]
+    rows = fit_formula_constants(ZXZ2, evals, [4])
     lam, mu = rows[0].lam, rows[0].mu
     worked = distance_formula(
         ZXZ2,
         IDENTITY,
         parse_element(ZXZ2, "t u^5 t u^7"),
         [4],
+        backend,
+        hat,
         sigma=sigma,
         entry_m=entry_m,
     )

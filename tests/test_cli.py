@@ -277,3 +277,68 @@ def test_bad_config_value_exit_two(tmp_path, capsys, key, value, message):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "rep").exists()
+
+
+REFUSED_FORMULA_CFG = """\
+[group]
+factors =
+    cyclic 5 a
+    cyclic 3 b
+peripheral = 0 1
+extra_generators =
+    ab: a b
+
+[backend]
+mode = bfs
+radius = 4
+hat_radius = 4
+
+[run]
+suites = formula
+samples = 1
+"""
+
+
+@pytest.mark.parametrize("seed", ["3", "5", "7"])
+def test_formula_sample_all_refused_exit_three(tmp_path, capsys, seed):
+    # the one sampled pair has an uncertified coned-off distance at these
+    # seeds: a certification failure with its reason, not a crash
+    cfg = tmp_path / "refused.cfg"
+    cfg.write_text(REFUSED_FORMULA_CFG)
+    code = main(["run", "--config", str(cfg), "--seed", seed, "--out", str(tmp_path / "rep")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "certification budget exceeded: formula: none of the 1 sampled pairs is certified\n"
+    )
+    assert not (tmp_path / "rep").exists()
+
+
+def test_bad_threshold_override_exit_two(tmp_path, capsys):
+    code = main(
+        ["run", "--config", config_path("c2c3.cfg"), "--L", "2,x", "--out", str(tmp_path / "rep")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad --L thresholds '2,x': ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("suites", ["dstg,formula", "formula"])
+def test_dstg_constants_estimated_once_per_run(tmp_path, monkeypatch, suites):
+    # the formula suite reads the constants the dstg suite estimated
+    calls = []
+    real = cli.estimate_dstg_constants
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_dstg_constants", counting)
+    code = main(
+        ["run", "--config", config_path("c2c3.cfg"), "--suite", suites,
+         "--samples", "20", "--out", str(tmp_path / "rep")]
+    )
+    assert code == 0
+    assert len(calls) == 1

@@ -197,14 +197,15 @@ def test_bcp_cap_flags_truncation(zxz2, zxz2_hat5, zxz2_exact):
 def test_large_gap_forces_coset_edge(zxz2, zxz2_hat5, zxz2_exact):
     # whenever the projection gap on a coset is >= 1 (exact regime), every
     # enumerated coned-off geodesic between the pair contains an edge in it
-    from periproj import gate_projection, separating_cosets
+    from periproj import separating_cosets
+    from periproj.peripheral import gate_point
 
     for w in ball(zxz2, 4):
         geos, _ = zxz2_hat5.enumerate_geodesics(IDENTITY, w, 500)
         for P in separating_cosets(zxz2, IDENTITY, w):
             gap = zxz2_exact.distance(
-                gate_projection(zxz2, P, IDENTITY).point,
-                gate_projection(zxz2, P, w).point,
+                gate_point(zxz2, P, IDENTITY),
+                gate_point(zxz2, P, w),
             )
             assert gap >= 1
             for g in geos:

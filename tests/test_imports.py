@@ -1,0 +1,33 @@
+"""Source hygiene: no module under src/periproj imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import periproj
+
+SRC = Path(periproj.__file__).resolve().parent
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_modules_found():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []

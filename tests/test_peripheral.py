@@ -14,9 +14,7 @@ from periproj import (
     coset_str,
     cosets_meeting_ball,
     dist_to_coset,
-    gate_projection,
     parse_element,
-    proj_bruteforce,
     proj_conedoff,
     proj_entrypoint,
     projection,
@@ -24,7 +22,7 @@ from periproj import (
 )
 from periproj import metric
 from periproj.group import IDENTITY, mul
-from periproj.peripheral import contains, parse_coset
+from periproj.peripheral import contains, gate_point, parse_coset
 
 
 def test_coset_of_strips_trailing(zxz2):
@@ -55,43 +53,43 @@ def test_coset_serialization_roundtrip(zxz2):
 def test_gate_example(zxz2, zxz2_exact):
     P = coset_of(zxz2, parse_element(zxz2, "t"), 1)
     x = parse_element(zxz2, "t u^2 t u")
-    gate = gate_projection(zxz2, P, x).point
+    gate = gate_point(zxz2, P, x)
     assert gate == parse_element(zxz2, "t u^2")
     # oracle: certified brute-force minimum is the same unique point
     d_rep = zxz2_exact.distance(x, P.rep)
-    assert proj_bruteforce(zxz2, zxz2_exact, P, x, d_rep + 1) == frozenset([gate])
+    assert frozenset(zxz2_exact.coset_minimizers(P, x, d_rep + 1)[1]) == frozenset([gate])
 
 
 def test_gate_fixes_coset_points(zxz2):
     x = parse_element(zxz2, "t u^4")
     P = coset_of(zxz2, x, 1)
-    assert gate_projection(zxz2, P, x).point == x
+    assert gate_point(zxz2, P, x) == x
 
 
 def test_gate_subgroup_example(zxz2, zxz2_exact):
     P = coset_of(zxz2, IDENTITY, 1)
     x = parse_element(zxz2, "t u^5")
-    assert gate_projection(zxz2, P, x).point == IDENTITY
-    assert proj_bruteforce(zxz2, zxz2_exact, P, x, 8) == frozenset([IDENTITY])
+    assert gate_point(zxz2, P, x) == IDENTITY
+    assert frozenset(zxz2_exact.coset_minimizers(P, x, 8)[1]) == frozenset([IDENTITY])
 
 
 def test_gate_rejects_extended(c2c3_ext):
     P = coset_of(c2c3_ext, IDENTITY, 1)
     with pytest.raises(UnsupportedMetricError):
-        gate_projection(c2c3_ext, P, IDENTITY)
+        metric.ExactBackend(c2c3_ext).project(P, IDENTITY)
 
 
 def test_bruteforce_in_coset(zxz2, zxz2_exact):
     x = parse_element(zxz2, "t u^2")
     P = coset_of(zxz2, x, 1)
-    assert proj_bruteforce(zxz2, zxz2_exact, P, x, 2) == frozenset([x])
+    assert frozenset(zxz2_exact.coset_minimizers(P, x, 2)[1]) == frozenset([x])
 
 
 def test_bruteforce_certification_failure(zxz2, zxz2_exact):
     P = coset_of(zxz2, parse_element(zxz2, "t"), 1)
     x = parse_element(zxz2, "t^-1 u^3")  # d(x, P) = 4
     with pytest.raises(OutOfRangeError):
-        proj_bruteforce(zxz2, zxz2_exact, P, x, 3)
+        zxz2_exact.coset_minimizers(P, x, 3)
 
 
 def test_bruteforce_bfs_backend_agrees(zxz2, zxz2_exact, zxz2_bfs6):
@@ -101,9 +99,9 @@ def test_bruteforce_bfs_backend_agrees(zxz2, zxz2_exact, zxz2_bfs6):
     for _ in range(60):
         x = elems[rng.randrange(len(elems))]
         P = cosets[rng.randrange(len(cosets))]
-        exact_set = proj_bruteforce(zxz2, zxz2_exact, P, x, zxz2_exact.distance(x, P.rep) + 1)
-        bfs_set = proj_bruteforce(zxz2, zxz2_bfs6, P, x, zxz2_bfs6.distance(x, P.rep) + 1)
-        assert exact_set == bfs_set
+        _, exact_pts = zxz2_exact.coset_minimizers(P, x, zxz2_exact.distance(x, P.rep) + 1)
+        _, bfs_pts = zxz2_bfs6.coset_minimizers(P, x, zxz2_bfs6.distance(x, P.rep) + 1)
+        assert frozenset(exact_pts) == frozenset(bfs_pts)
 
 
 def test_extended_minimizing_set_diameter(c2c3_ext, ext_bfs8):
@@ -112,7 +110,7 @@ def test_extended_minimizing_set_diameter(c2c3_ext, ext_bfs8):
     C = 1
     P = coset_of(c2c3_ext, IDENTITY, 1)
     x = parse_element(c2c3_ext, "a")
-    pts = list(proj_bruteforce(c2c3_ext, ext_bfs8, P, x, 8))
+    _, pts = ext_bfs8.coset_minimizers(P, x, 8)
     assert projection(c2c3_ext, ext_bfs8, P, x) in pts
     diam = max(
         (ext_bfs8.distance(p, q) for p in pts for q in pts),
@@ -224,7 +222,7 @@ def test_entrypoint_matches_gate_on_sample(zxz2, zxz2_exact):
     for x in elems[:80]:
         for P in cosets[:12]:
             res = proj_entrypoint(zxz2, zxz2_exact, P, x, P.rep, 0)
-            gate = gate_projection(zxz2, P, x).point
+            gate = gate_point(zxz2, P, x)
             worst = max(worst, zxz2_exact.distance(res.point, gate))
     assert worst == 0
 
@@ -248,7 +246,7 @@ def test_conedoff_matches_gate_on_sample(zxz2, zxz2_exact, zxz2_hat5):
     for x in elems[:60]:
         for P in cosets[:10]:
             got = proj_conedoff(zxz2, zxz2_hat5, P, x).point
-            gate = gate_projection(zxz2, P, x).point
+            gate = gate_point(zxz2, P, x)
             worst = max(worst, zxz2_exact.distance(got, gate))
     assert worst == 0
 
@@ -264,7 +262,7 @@ def test_separating_worked_example(zxz2, zxz2_exact):
     assert [coset_str(zxz2, P) for P in cosets] == ["H1 @ t^1", "H1 @ t^1 u^5 t^1"]
     gaps = [
         zxz2_exact.distance(
-            gate_projection(zxz2, P, IDENTITY).point, gate_projection(zxz2, P, y).point
+            gate_point(zxz2, P, IDENTITY), gate_point(zxz2, P, y)
         )
         for P in cosets
     ]
@@ -283,7 +281,7 @@ def test_non_separating_cosets_have_zero_gap(zxz2, zxz2_exact):
             if P in separating:
                 continue
             gap = zxz2_exact.distance(
-                gate_projection(zxz2, P, x).point, gate_projection(zxz2, P, y).point
+                gate_point(zxz2, P, x), gate_point(zxz2, P, y)
             )
             assert gap == 0
 
@@ -295,7 +293,7 @@ def test_gate_additivity_exact(zxz2, zxz2_exact):
     f = zxz2.factors[1]
     for x in elems:
         for P in cosets:
-            gate = gate_projection(zxz2, P, x).point
+            gate = gate_point(zxz2, P, x)
             for level in range(3):
                 for h in f.elements_of_length(level):
                     p = P.rep if f.is_identity(h) else P.rep + ((1, h),)

@@ -7,17 +7,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from periproj import BfsBackend, ball, parse_element
+from periproj import BfsBackend, ConedOffBackend, ExactBackend, ball, parse_element
 from periproj.errors import OutOfRangeError, TheoremViolationError
 from periproj.group import IDENTITY, element_str, mul
-from periproj.peripheral import (
-    coset_member,
-    coset_of,
-    coset_str,
-    cosets_meeting_ball,
-    dist_to_coset,
-    member_coord,
-)
+from periproj.peripheral import coset_of, coset_str, cosets_meeting_ball, dist_to_coset
 from periproj.verify import axioms, thinness
 from periproj.verify import (
     SamplePlan,
@@ -54,11 +47,10 @@ def test_ap_extended_positive_constant(c2c3_ext, ext_bfs8):
     assert all(ok for _, _, ok in report.equivalence.values())
 
 
-def _scalar_ap1(spec, backend, P, xs, pid, upts, dxpi, coords, constants, witnesses, examined):
+def _scalar_ap1(spec, backend, P, xs, pid, upts, dxpi, pts, constants, witnesses, examined):
     """Reference for the block ``_ap1``: the pairwise sweep with scalar
     distances, strict improvement in (x, p) order."""
     proj_pts = [upts[k] if k >= 0 else None for k in pid]
-    pts = [coset_member(spec, P, h) for h in coords]
     best = constants["ap1"]
     for i, x in enumerate(xs):
         pi = proj_pts[i]
@@ -103,19 +95,19 @@ def test_ap1_block_matches_scalar_sweep(request, monkeypatch, spec_name, backend
 
 
 class _RefusingCosetBackend:
-    """Delegates to a backend, but its ``coset_distances`` reads -1 in the
-    cells (point, coordinate) listed in ``refused``."""
+    """Delegates to a backend, but its ``distance_block`` reads -1 in the
+    cells (row point, column point) listed in ``refused``."""
 
     def __init__(self, backend, refused):
         self.backend = backend
         self.spec = backend.spec
         self.refused = refused
 
-    def coset_distances(self, xs, P, coords):
-        block = self.backend.coset_distances(xs, P, coords)
+    def distance_block(self, xs, ys):
+        block = self.backend.distance_block(xs, ys)
         for r, x in enumerate(xs):
-            for c, h in enumerate(coords):
-                if (x, h) in self.refused:
+            for c, y in enumerate(ys):
+                if (x, y) in self.refused:
                     block[r, c] = -1
         return block
 
@@ -126,7 +118,7 @@ def test_ap1_leaves_out_refused_projection_cells(c2c3_ext, ext_bfs8):
     # slack over the pairs that remain
     spec, backend = c2c3_ext, ext_bfs8
     P = cosets_meeting_ball(spec, ball(spec, 1))[1]
-    coords = [member_coord(spec, P, p) for p in backend.coset_points(P)]
+    pts = backend.coset_points(P)
     # sample points off the coset, so no sample row is a projection point
     xs = [x for x in ball(spec, 4) if backend.coset_distance(P, x) >= 1]
     proj = [backend.project(P, x) for x in xs]
@@ -135,19 +127,18 @@ def test_ap1_leaves_out_refused_projection_cells(c2c3_ext, ext_bfs8):
 
     def run_ap1(b):
         constants, witnesses, examined = {"ap1": 0}, {}, {"ap1": 0}
-        axioms._ap1(spec, b, P, xs, pid, upts, dxpi, coords, constants, witnesses, examined)
+        axioms._ap1(spec, b, P, xs, pid, upts, dxpi, pts, constants, witnesses, examined)
         return constants["ap1"], examined["ap1"]
 
     slack = {
-        (x, h): int(dxpi[i]) + backend.distance(proj[i], coset_member(spec, P, h))
-        - backend.distance(x, coset_member(spec, P, h))
+        (x, p): int(dxpi[i]) + backend.distance(proj[i], p) - backend.distance(x, p)
         for i, x in enumerate(xs)
-        for h in coords
+        for p in pts
     }
     worst = max(slack.values())
-    refused = {(proj[xs.index(x)], h) for (x, h), v in slack.items() if v == worst}
-    assert not refused & {(x, h) for x in xs for h in coords}
-    kept = [v for (x, h), v in slack.items() if (proj[xs.index(x)], h) not in refused]
+    refused = {(proj[xs.index(x)], p) for (x, p), v in slack.items() if v == worst}
+    assert not refused & {(x, p) for x in xs for p in pts}
+    kept = [v for (x, p), v in slack.items() if (proj[xs.index(x)], p) not in refused]
     assert run_ap1(backend) == (worst, len(slack)) and worst > 0
     assert run_ap1(_RefusingCosetBackend(backend, refused)) == (max(kept + [0]), len(kept))
     assert 0 < len(kept) < len(slack) and max(kept) < worst
@@ -160,7 +151,7 @@ def test_ap_in_coset_slack_zero(zxz2, zxz2_exact):
 
 def test_battery_no_violations_small(c2c3, c2c3_exact):
     plan = SamplePlan(seed=3, n_pairs=60, n_walks=20)
-    report = lemma_battery(c2c3, c2c3_exact, 0, plan)
+    report = lemma_battery(c2c3, c2c3_exact, 0, plan, ConedOffBackend(c2c3))
     assert report.total_violations == 0
     assert report.rows["projection_coarse_lipschitz"].examined > 0
     assert report.rows["far_path_contraction"].examined > 0
@@ -168,7 +159,7 @@ def test_battery_no_violations_small(c2c3, c2c3_exact):
 
 def test_battery_lipschitz_tight_in_exact_mode(zxz2, zxz2_exact):
     plan = SamplePlan(seed=5, n_pairs=40, n_walks=10, sample_radius=2, coset_radius=1)
-    report = lemma_battery(zxz2, zxz2_exact, 0, plan)
+    report = lemma_battery(zxz2, zxz2_exact, 0, plan, ConedOffBackend(zxz2))
     assert report.total_violations == 0
     # with C = 0 the 1-Lipschitz bound is achieved exactly somewhere
     assert report.rows["projection_coarse_lipschitz"].min_margin == 0
@@ -176,13 +167,13 @@ def test_battery_lipschitz_tight_in_exact_mode(zxz2, zxz2_exact):
 
 def test_battery_extended(c2c3_ext, ext_bfs8, ext_hat8):
     plan = SamplePlan(seed=5, n_pairs=60, max_syllables=4, max_syllable_len=2)
-    report = lemma_battery(c2c3_ext, ext_bfs8, 1, plan, hat_backend=ext_hat8)
+    report = lemma_battery(c2c3_ext, ext_bfs8, 1, plan, ext_hat8)
     assert report.total_violations == 0
     assert report.total_examined > 1000
 
 
 def test_dstg_exact_values(zxz2, zxz2_exact):
-    consts = estimate_dstg_constants(zxz2, zxz2_exact, 3)
+    consts = estimate_dstg_constants(zxz2, zxz2_exact, 3, ConedOffBackend(zxz2))
     assert consts.b_by_h[0] <= 1  # distinct cosets share at most a point
     assert consts.b_by_h[0] == 0
     assert consts.t_by_l[1] == Fraction(1)
@@ -193,14 +184,16 @@ def test_dstg_exact_values(zxz2, zxz2_exact):
 
 
 def test_dstg_monotone_in_h(c2c3, c2c3_exact):
-    consts = estimate_dstg_constants(c2c3, c2c3_exact, 3)
+    consts = estimate_dstg_constants(c2c3, c2c3_exact, 3, ConedOffBackend(c2c3))
     values = [consts.b_by_h[h] for h in range(4)]
     assert values == sorted(values)
 
 
 def test_formula_worked_example(zxz2, zxz2_exact):
     y = parse_element(zxz2, "t u^5 t u^7")
-    ev = distance_formula(zxz2, IDENTITY, y, [4, 6], sigma=0, entry_m=0)
+    ev = distance_formula(
+        zxz2, IDENTITY, y, [4, 6], ExactBackend(zxz2), ConedOffBackend(zxz2), sigma=0, entry_m=0
+    )
     assert ev.lhs == 14
     assert ev.dhat == 4
     assert sorted(v for _, v in ev.terms) == [5, 7]
@@ -210,7 +203,10 @@ def test_formula_worked_example(zxz2, zxz2_exact):
 
 
 def test_formula_trivial_pair(zxz2):
-    ev = distance_formula(zxz2, IDENTITY, IDENTITY, [0, 2, 9], sigma=0, entry_m=0)
+    ev = distance_formula(
+        zxz2, IDENTITY, IDENTITY, [0, 2, 9], ExactBackend(zxz2), ConedOffBackend(zxz2),
+        sigma=0, entry_m=0,
+    )
     assert ev.lhs == 0
     assert all(ev.rhs(L) == 0 for L in (0, 2, 9))
 
@@ -218,8 +214,9 @@ def test_formula_trivial_pair(zxz2):
 def test_formula_rhs_monotone_and_dominates_dhat(zxz2):
     rng = random.Random(17)
     thresholds = [0, 1, 2, 4, 8, 16]
+    backend, hat = ExactBackend(zxz2), ConedOffBackend(zxz2)
     for x, y in seeded_pairs(zxz2, rng, 40, 6, 8):
-        ev = distance_formula(zxz2, x, y, thresholds, sigma=0, entry_m=0)
+        ev = distance_formula(zxz2, x, y, thresholds, backend, hat, sigma=0, entry_m=0)
         values = [ev.rhs(L) for L in thresholds]
         assert values == sorted(values, reverse=True)
         assert all(v >= ev.dhat for v in values)
@@ -228,11 +225,13 @@ def test_formula_rhs_monotone_and_dominates_dhat(zxz2):
 
 
 def test_formula_estimate_uses_measured_slack(zxz2, zxz2_exact):
-    consts = estimate_dstg_constants(zxz2, zxz2_exact, 3)
+    consts = estimate_dstg_constants(zxz2, zxz2_exact, 3, ConedOffBackend(zxz2))
     rng = random.Random(23)
+    hat = ConedOffBackend(zxz2)
     for x, y in seeded_pairs(zxz2, rng, 60, 8, 10):
         distance_formula(
-            zxz2, x, y, [4], sigma=consts.sigma_by_d[0], entry_m=consts.entry_m_by_d[0]
+            zxz2, x, y, [4], zxz2_exact, hat,
+            sigma=consts.sigma_by_d[0], entry_m=consts.entry_m_by_d[0],
         )  # raises TheoremViolationError on failure
 
 
@@ -240,23 +239,34 @@ def test_formula_estimate_violation_detected(zxz2):
     # an impossible negative slack forces the bound above the true distance
     y = parse_element(zxz2, "u^9")
     with pytest.raises(TheoremViolationError):
-        distance_formula(zxz2, IDENTITY, y, [4], sigma=-3, entry_m=-3)
+        distance_formula(
+            zxz2, IDENTITY, y, [4], ExactBackend(zxz2), ConedOffBackend(zxz2),
+            sigma=-3, entry_m=-3,
+        )
+
+
+def _formula_evals(spec, pairs, thresholds):
+    backend, hat = ExactBackend(spec), ConedOffBackend(spec)
+    return [
+        distance_formula(spec, x, y, thresholds, backend, hat, sigma=0, entry_m=0)
+        for x, y in pairs
+    ]
 
 
 def test_fit_single_trivial_pair(zxz2):
-    rows = fit_formula_constants(zxz2, [(IDENTITY, IDENTITY)], [4], sigma=0, entry_m=0)
+    rows = fit_formula_constants(zxz2, _formula_evals(zxz2, [(IDENTITY, IDENTITY)], [4]), [4])
     assert rows[0].lam == 1 and rows[0].mu == 0
 
 
 def test_fit_rejects_empty(zxz2):
     with pytest.raises(ValueError):
-        fit_formula_constants(zxz2, [], [4], sigma=0, entry_m=0)
+        fit_formula_constants(zxz2, [], [4])
 
 
 def test_fit_lambda_monotone_in_threshold(zxz2):
     rng = random.Random(31)
     pairs = seeded_pairs(zxz2, rng, 80, 8, 10)
-    rows = fit_formula_constants(zxz2, pairs, [1, 2, 4, 8], sigma=0, entry_m=0)
+    rows = fit_formula_constants(zxz2, _formula_evals(zxz2, pairs, [1, 2, 4, 8]), [1, 2, 4, 8])
     lams = [r.lam for r in rows]
     assert lams == sorted(lams)
     assert all(r.mu == 0 for r in rows)
