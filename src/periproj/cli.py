@@ -192,7 +192,13 @@ class SuiteResult:
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured suites; write reports; map failures to exit codes."""
+    """Execute the configured suites; write reports; map failures to exit codes.
+
+    Each suite's CSV is written as soon as the suite finishes, so a run that
+    fails later keeps them; its ``summary.txt`` then covers the finished
+    suites and ends with a line naming the failing suite and the reason.
+    The report directory is created only once a suite has finished.
+    """
     try:
         config.validate()
     except ConfigError as exc:
@@ -202,6 +208,7 @@ def run(config: RunConfig) -> int:
     spec = config.group
     results: list[SuiteResult] = []
     violations = 0
+    suite = message = None
     try:
         backend = (
             ExactBackend(spec)
@@ -217,26 +224,24 @@ def run(config: RunConfig) -> int:
             result = runner(config, spec, backend, hat_backend, shared)
             results.append(result)
             violations += result.violations
+            config.out_dir.mkdir(parents=True, exist_ok=True)
+            _write_csv(config.out_dir / f"{result.name}.csv", result.header, result.rows)
     except TheoremViolationError as exc:
-        print(f"theorem violation: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"theorem violation: {exc}"
     except BallBudgetError as exc:
-        print(f"resource budget exceeded: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"resource budget exceeded: {exc}"
     except OutOfRangeError as exc:
-        print(f"certification budget exceeded: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"certification budget exceeded: {exc}"
     except PeriprojError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"config error: {exc}"
     except Exception as exc:
         traceback.print_exc()
-        print(f"internal error: {exc!r}", file=sys.stderr)
-        return 4
-
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    for result in results:
-        _write_csv(config.out_dir / f"{result.name}.csv", result.header, result.rows)
+        code, message = 4, f"internal error: {exc!r}"
+    if message is not None:
+        print(message, file=sys.stderr)
+        if results:
+            _write_summary(config, results, failure=f"failed: {suite}: {message}")
+        return code
     _write_summary(config, results)
 
     if violations:
@@ -256,7 +261,7 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_summary(config: RunConfig, results) -> None:
+def _write_summary(config: RunConfig, results, failure: str | None = None) -> None:
     lines = [
         f"group: {config.name}",
         f"config: {Path(config.source).name}",
@@ -272,6 +277,8 @@ def _write_summary(config: RunConfig, results) -> None:
             f"violations={result.violations}"
         )
         lines.append("")
+    if failure is not None:
+        lines.extend([failure, ""])
     (config.out_dir / "summary.txt").write_text("\n".join(lines))
 
 
@@ -409,8 +416,12 @@ def _suite_dstg(config, spec, backend, hat_backend, shared) -> SuiteResult:
 
 
 def _certified_pairs(config, spec, rng, n, max_syllables, max_syllable_len):
-    """Pair sample guaranteed evaluable: free-form in exact mode, drawn from
-    the half-radius ball in BFS mode (so distances stay in range)."""
+    """Pair sample whose group distances the backend certifies: free-form
+    in exact mode, drawn from the half-radius ball in BFS mode (so that
+    d(x, y) <= ``radius``).  Coned-off distances are not bounded: in extended
+    mode ``ConedOffBackend`` refuses a pair whose coned-off distance times
+    the largest peripheral diameter exceeds ``hat_radius``, and the suites
+    count such pairs as skipped."""
     if config.mode == "exact":
         return seeded_pairs(spec, rng, n, max_syllables, max_syllable_len)
     elems = list(ball(spec, config.radius // 2, config.ball_cap))

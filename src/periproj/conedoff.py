@@ -430,56 +430,52 @@ def check_bcp(
     y: Element,
     enumeration_cap: int,
 ) -> BcpReport:
-    """Compare every enumerated pair of coned-off geodesics from x to y.
+    """Bounded coset penetration over the enumerated coned-off geodesics x -> y.
 
     Clause 1: a coset crossed by one geodesic and not the other must be
-    crossed tightly (its edge endpoints are close in the group metric).
+    crossed tightly (its entry and exit are close in the group metric).
     Clause 2: a coset crossed by both is entered and exited at close points.
-    The maxima over all pairs are the empirical penetration constants.
+    ``samples`` counts the n(n-1)/2 geodesic pairs, but the maxima over
+    those pairs depend only on each coset P's (entry, exit) points: clause 1
+    is the largest d(entry, exit) when some geodesic misses P, and clause 2
+    is the larger diameter of P's distinct entry set and distinct exit set
+    when two or more geodesics cross P.  The queries are those of the
+    pairwise comparison up to order and symmetry (a BFS ball is closed
+    under inverses), so an ``OutOfRangeError`` refuses the same targets;
+    the pairwise loop stays in the tests as the reference.
     """
     geos, truncated = hat_backend.enumerate_geodesics(x, y, enumeration_cap)
-    crossings = [path_crossings(spec, g) for g in geos]
-    max_c1 = 0
-    max_c2 = 0
+    n = len(geos)
+    by_coset: dict[Coset, list[tuple[Element, Element]]] = {}
+    for g in geos:
+        for P, entry_exit in path_crossings(spec, g).items():
+            by_coset.setdefault(P, []).append(entry_exit)
+    maxima = {1: 0, 2: 0}
     witnesses: list[dict] = []
-    samples = 0
-    for (ia, ca), (ib, cb) in itertools.combinations(enumerate(crossings), 2):
-        samples += 1
-        for P, (pa, qa) in ca.items():
-            if P in cb:
-                pb, qb = cb[P]
-                d = max(
-                    metric_backend.distance(pa, pb),
-                    metric_backend.distance(qa, qb),
-                )
-                if d > max_c2:
-                    max_c2 = d
-                    witnesses.append(
-                        {"clause": 2, "coset": coset_str(spec, P), "distance": d,
-                         "geodesics": (ia, ib)}
-                    )
-            else:
-                d = metric_backend.distance(pa, qa)
-                if d > max_c1:
-                    max_c1 = d
-                    witnesses.append(
-                        {"clause": 1, "coset": coset_str(spec, P), "distance": d,
-                         "geodesics": (ia, ib)}
-                    )
-        for P, (pb, qb) in cb.items():
-            if P not in ca:
-                d = metric_backend.distance(pb, qb)
-                if d > max_c1:
-                    max_c1 = d
-                    witnesses.append(
-                        {"clause": 1, "coset": coset_str(spec, P), "distance": d,
-                         "geodesics": (ib, ia)}
-                    )
+
+    def record(clause: int, P: Coset, u: Element, v: Element) -> None:
+        d = metric_backend.distance(u, v)
+        if d > maxima[clause]:
+            maxima[clause] = d
+            witnesses.append(
+                {"clause": clause, "coset": coset_str(spec, P), "distance": d,
+                 "points": [element_str(spec, u), element_str(spec, v)]}
+            )
+
+    for P, crossings in by_coset.items():  # n < 2 meets neither clause: no queries
+        if len(crossings) < n:
+            for p, q in dict.fromkeys(crossings):
+                record(1, P, p, q)
+        if len(crossings) >= 2:
+            for side in (0, 1):
+                points = dict.fromkeys(c[side] for c in crossings)
+                for u, v in itertools.combinations(points, 2):
+                    record(2, P, u, v)
     return BcpReport(
-        samples=samples,
-        max_clause1=max_c1,
-        max_clause2=max_c2,
+        samples=n * (n - 1) // 2,
+        max_clause1=maxima[1],
+        max_clause2=maxima[2],
         witnesses=witnesses[-4:],
-        geodesic_count=len(geos),
+        geodesic_count=n,
         truncated=truncated,
     )

@@ -12,7 +12,7 @@ import pytest
 
 from periproj import cli
 from periproj.cli import main, parse_config
-from periproj.errors import ConfigError, OutOfRangeError
+from periproj.errors import ConfigError, OutOfRangeError, TheoremViolationError
 
 
 def config_path(name: str) -> str:
@@ -342,3 +342,24 @@ def test_dstg_constants_estimated_once_per_run(tmp_path, monkeypatch, suites):
     )
     assert code == 0
     assert len(calls) == 1
+
+
+def test_failure_keeps_finished_suite_reports(tmp_path, capsys, monkeypatch):
+    # a suite failing after ap: ap's CSV stays, and the summary says what failed
+    def violate(*args):
+        raise TheoremViolationError("battery inequality failed")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "battery", violate)
+    out = tmp_path / "rep"
+    code = main(
+        ["run", "--config", config_path("c2c3.cfg"), "--suite", "ap,battery,bcp",
+         "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "theorem violation: battery inequality failed\n"
+    assert sorted(p.name for p in out.iterdir()) == ["ap.csv", "summary.txt"]
+    summary = (out / "summary.txt").read_text()
+    assert "[ap]" in summary and "[battery]" not in summary
+    assert summary.endswith(
+        "\nfailed: battery: theorem violation: battery inequality failed\n"
+    )

@@ -1,11 +1,14 @@
 """Coned-off distances, geodesics, lifts, enumeration, and penetration checks."""
 
+import itertools
 import random
 
 import pytest
 
 from periproj import (
+    BfsBackend,
     ConedOffBackend,
+    ExactBackend,
     GroupSpec,
     InfiniteCyclicFactor,
     FreeAbelianRank2Factor,
@@ -192,6 +195,86 @@ def test_bcp_cap_flags_truncation(zxz2, zxz2_hat5, zxz2_exact):
     w = parse_element(zxz2, "u v")
     report = check_bcp(zxz2, zxz2_hat5, zxz2_exact, IDENTITY, w, 1)
     assert report.truncated
+
+
+def _pairwise_bcp(spec, hat_backend, metric_backend, x, y, enumeration_cap):
+    """Reference for ``check_bcp``: compare every pair of enumerated geodesics.
+
+    Returns ``(samples, max_clause1, max_clause2, geodesic_count, truncated)``.
+    """
+    geos, truncated = hat_backend.enumerate_geodesics(x, y, enumeration_cap)
+    crossings = [path_crossings(spec, g) for g in geos]
+    max_c1 = 0
+    max_c2 = 0
+    samples = 0
+    for ca, cb in itertools.combinations(crossings, 2):
+        samples += 1
+        for P, (pa, qa) in ca.items():
+            if P in cb:
+                pb, qb = cb[P]
+                d = max(metric_backend.distance(pa, pb), metric_backend.distance(qa, qb))
+                max_c2 = max(max_c2, d)
+            else:
+                max_c1 = max(max_c1, metric_backend.distance(pa, qa))
+        for P, (pb, qb) in cb.items():
+            if P not in ca:
+                max_c1 = max(max_c1, metric_backend.distance(pb, qb))
+    return samples, max_c1, max_c2, len(geos), truncated
+
+
+def _bcp_tuple(spec, hat_backend, metric_backend, x, y, enumeration_cap):
+    report = check_bcp(spec, hat_backend, metric_backend, x, y, enumeration_cap)
+    return (report.samples, report.max_clause1, report.max_clause2,
+            report.geodesic_count, report.truncated)
+
+
+def _refused_or(fn, *args):
+    try:
+        return fn(*args)
+    except OutOfRangeError:
+        return "refused"
+
+
+@pytest.mark.parametrize(
+    "group, backend, hat_radius, sample_radius, refused",
+    [
+        ("c2c3", None, 6, 4, 0),
+        ("zxz2", None, 6, 4, 0),
+        ("c2c3_ext", 8, 8, 6, 0),
+        ("c2c3_ext", 0, 8, 6, 125),
+    ],
+    ids=["c2c3_exact", "zxz2_exact_hat6", "ext_bfs8_hat8", "ext_bfs0_hat8"],
+)
+def test_bcp_matches_pairwise(request, group, backend, hat_radius, sample_radius, refused):
+    # the bundled configs' bcp targets, plus a BFS radius whose refusals skip
+    # most of them: same constants, and the same targets refused
+    spec = request.getfixturevalue(group)
+    metric = ExactBackend(spec) if backend is None else BfsBackend(spec, backend)
+    hat = (request.getfixturevalue("ext_hat8") if group == "c2c3_ext"
+           else ConedOffBackend(spec, radius=hat_radius))
+    outcomes = [
+        (_refused_or(_bcp_tuple, spec, hat, metric, IDENTITY, w, 10_000),
+         _refused_or(_pairwise_bcp, spec, hat, metric, IDENTITY, w, 10_000))
+        for w in ball(spec, min(sample_radius, hat_radius))
+    ]
+    assert all(fast == ref for fast, ref in outcomes)
+    assert sum(fast == "refused" for fast, _ in outcomes) == refused
+
+
+def test_bcp_distance_calls_per_coset_not_per_pair(c2c3_ext, ext_hat8, ext_bfs8):
+    # 192 geodesics give 18,336 pairs (152,800 pairwise distance calls); the
+    # per-coset entry and exit sets need 10
+    calls = []
+
+    class Counting:
+        def distance(self, u, v):
+            calls.append((u, v))
+            return ext_bfs8.distance(u, v)
+
+    w = parse_element(c2c3_ext, "b a b^2 a b a b^2")
+    report = check_bcp(c2c3_ext, ext_hat8, Counting(), IDENTITY, w, 10_000)
+    assert (report.geodesic_count, report.samples) == (192, 18_336)
+    assert len(calls) <= 50
 
 
 def test_large_gap_forces_coset_edge(zxz2, zxz2_hat5, zxz2_exact):
