@@ -83,6 +83,11 @@ class RunConfig:
                 raise ConfigError(f"{key} must be nonnegative, got {getattr(self, key)}")
         if self.samples < 1:
             raise ConfigError(f"samples must be at least 1, got {self.samples}")
+        if "formula" in self.suites and not self.thresholds:
+            raise ConfigError("the formula suite needs at least one threshold")
+        for t in self.thresholds:
+            if t < 0:
+                raise ConfigError(f"thresholds must be nonnegative, got {t}")
         needs_peripheral = {"formula", "bcp", "lifts"} & set(self.suites)
         if needs_peripheral and not self.group.peripheral_indices:
             raise ConfigError(

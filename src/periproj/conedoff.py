@@ -397,11 +397,11 @@ def path_crossings(spec: GroupSpec, path: HatPath) -> dict:
         if kind == CONE:
             hits = [payload]
         else:
-            hits = [
-                coset_of(spec, u, i)
-                for i in spec.peripheral_indices
-                if coset_of(spec, u, i) == coset_of(spec, v, i)
-            ]
+            hits = []
+            for i in spec.peripheral_indices:
+                coset = coset_of(spec, u, i)
+                if coset == coset_of(spec, v, i):
+                    hits.append(coset)
         for coset in hits:
             if coset in crossings:
                 crossings[coset] = (crossings[coset][0], v)

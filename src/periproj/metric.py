@@ -14,18 +14,24 @@ Two interchangeable backends answer the same metric interface:
 The interface: ``distance`` and ``geodesic``; the blocks ``distance_block(xs,
 ys)`` and ``coset_distance_block(cosets, xs)`` as int32 arrays with -1 where a
 value is not certified; and the coset queries ``coset_points``,
-``coset_minimizers``, ``project`` and ``coset_distance``.  Code outside this
-module never chooses between the two modes.
+``coset_minimizers``, ``project``, ``project_block`` and ``coset_distance``.
+Code outside this module never chooses between the two modes.
 
-Projection routes: ``project`` is the canonical point (the gate
-``peripheral.gate_point`` in exact mode, the least certified minimizer in BFS
-mode) and ``coset_minimizers`` the whole certified minimizing set.
+Projection routes:
+
+* ``project(P, x)``: the canonical point, the gate ``peripheral.gate_point``
+  in exact mode and the least certified minimizer in BFS mode;
+* ``project_block(P, xs)``: ``project`` for each x, None where it is not
+  certified.  Exact mode reads each gate off the syllables of x, with no
+  element products; BFS mode loops over ``project``;
+* ``coset_minimizers(P, x)``: the whole certified minimizing set, by an
+  explicit scan.
 
 Exact blocks never multiply elements: both inputs are encoded by their
 syllable prefixes (paths in the Bass-Serre tree of the free product), and
 numpy reads each distance from the tails past the first differing syllable
-(``_prefix_block``).  The scalar ``distance`` and ``coset_distance`` are the
-reference every block is tested against.
+(``_prefix_block``).  The scalar ``distance``, ``coset_distance`` and
+``project`` are the reference every block is tested against.
 """
 
 from __future__ import annotations
@@ -284,6 +290,19 @@ class ExactBackend:
         """The gate: the unique closest point of P."""
         return gate_point(self.spec, P, x)
 
+    def project_block(self, P: Coset, xs) -> list:
+        """The gate of each x, with no element products: x[:len(rep)+1] when
+        rep is a syllable prefix of x and the next syllable of x lies in P's
+        factor, else rep.  (When rep is not a prefix of x, rep^-1 x leads
+        with a syllable of rep's last factor, which is not P's, because rep
+        carries no trailing P-syllable.)"""
+        rep, i = P.rep, P.factor_index
+        k = len(rep)
+        return [
+            x[: k + 1] if len(x) > k and x[k][0] == i and x[:k] == rep else rep
+            for x in xs
+        ]
+
     def coset_distance(self, P: Coset, x: Element) -> int:
         """d(x, P) in closed form: |rep^-1 x| minus its leading P-syllable."""
         spec = self.spec
@@ -387,6 +406,16 @@ class BfsBackend:
         _, points = self.coset_minimizers(P, x, self.distance(x, P.rep) + 1)
         return min(points, key=lambda p: sort_key(self.spec, p))
 
+    def project_block(self, P: Coset, xs) -> list:
+        """``project`` for each x, None where it is not certified."""
+        out = []
+        for x in xs:
+            try:
+                out.append(self.project(P, x))
+            except OutOfRangeError:
+                out.append(None)
+        return out
+
     def coset_distance(self, P: Coset, x: Element) -> int:
         return self.coset_minimizers(P, x)[0]
 
@@ -416,22 +445,21 @@ class BfsBackend:
 
 
 def quasigeodesic_constants(path: VertexPath, backend) -> tuple[int, int]:
-    """Fit (lambda, mu) for an edge path by scanning all vertex pairs.
+    """Fit (lambda, mu) for an edge path from one block over all vertex pairs.
 
     For edge paths the upper bound d <= lambda*(j-i) + mu is automatic, and
     any finite path is a (1, mu)-quasi-geodesic, so the lexicographic minimum
     is lambda = 1 with mu the worst lower-bound deficit (j-i) - d(v_i, v_j).
+    Raises OutOfRangeError when a pair i < j is not certified.
     """
     verts = path.vertices
     n = len(verts)
-    mu = 0
-    for i in range(n):
-        vi = verts[i]
-        for j in range(i + 1, n):
-            deficit = (j - i) - backend.distance(vi, verts[j])
-            if deficit > mu:
-                mu = deficit
-    return (1, mu)
+    d = backend.distance_block(verts, verts)
+    i, j = np.triu_indices(n, 1)
+    dij = d[i, j]
+    if (dij < 0).any():
+        raise OutOfRangeError("a vertex pair of the path is not certified by this backend")
+    return (1, int((j - i - dij).max(initial=0)))
 
 
 def enumerate_geodesics(backend, x: Element, y: Element, cap: int) -> tuple[list[VertexPath], bool]:

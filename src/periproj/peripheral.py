@@ -10,6 +10,12 @@ Projection routes:
   ``w = rep^-1 x`` and gates through the leading ``i``-syllable of ``w``.
   This is the unique distance-minimizing point in that regime, and
   ``ExactBackend.project`` returns it.
+* the backend's ``project_block(P, xs)``: the canonical point of each x,
+  None where it is not certified.  In exact mode it reads the gate off the
+  syllables of x (rep's successor in x when rep is a syllable prefix of x
+  followed by an ``i``-syllable, else rep), with no products; in BFS mode it
+  loops over ``project``.  The ``ap`` and ``battery`` suites project this
+  way.
 * the backend's ``coset_minimizers``: the certified set of distance
   minimizers over the coset; the certificate guarantees the true minimum was
   seen, or OutOfRangeError is raised.  With a BFS backend the minimizers are
@@ -19,8 +25,9 @@ Projection routes:
   neighborhood of the coset, along a metric geodesic or a coned-off geodesic
   (the paper's alternative projections).
 
-``projection`` and ``dist_to_coset``, the canonical projection point and
-d(x, P) that the verification suites use, are answered by the backend.
+``projection`` and ``dist_to_coset`` are the scalar canonical projection
+point and d(x, P), answered by the backend; the ``dstg`` and ``formula``
+suites use them.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import OutOfRangeError
 from ..group import GroupSpec, ball, element_str
-from ..peripheral import coset_str, cosets_meeting_ball, projection
+from ..peripheral import coset_str, cosets_meeting_ball
 
 
 @dataclass
@@ -69,6 +69,9 @@ def projection_ids(backend, points):
 def check_ap_axioms(
     spec: GroupSpec, backend, sample_radius: int, coset_radius: int
 ) -> ApReport:
+    """Every axiom over the sample ball and the cosets meeting the coset
+    ball.  The distances come from one block per kind and pass: sample
+    pairs, sample to projection points, and sample to coset points."""
     xs = list(ball(spec, sample_radius))
     cosets = cosets_meeting_ball(spec, ball(spec, coset_radius))
     n = len(xs)
@@ -83,15 +86,18 @@ def check_ap_axioms(
     skipped = int((dmat < 0).sum())
 
     points = {P: backend.coset_points(P, level_cap) for P in cosets}
+    # canonical projection of every sample point, None when uncertifiable
+    projections = {P: backend.project_block(P, xs) for P in cosets}
+    d_xpi, pi_col = _distinct_columns(
+        backend, xs, (p for pts in projections.values() for p in pts if p is not None)
+    )
+    d_xp, p_col = _distinct_columns(
+        backend, xs, (p for pts in points.values() for p in pts)
+    )
+
     for P, p_points in points.items():
-        # canonical projection of every sample point, None when uncertifiable
-        proj_pts: list = []
-        for x in xs:
-            try:
-                proj_pts.append(projection(spec, backend, P, x))
-            except OutOfRangeError:
-                proj_pts.append(None)
-                skipped += 1
+        proj_pts = projections[P]
+        skipped += proj_pts.count(None)
 
         # certified d(x, P) and d(x, pi(x))
         dP = np.full(n, -1, dtype=np.int32)
@@ -103,17 +109,22 @@ def check_ap_axioms(
                 # explicit minimization, never the gate formula: ap1p
                 # compares d(x, pi(x)) against this value
                 dP[i] = backend.coset_minimizers(P, x)[0]
-                dxpi[i] = backend.distance(x, proj_pts[i])
             except OutOfRangeError:
+                proj_pts[i] = None
+                skipped += 1
+                continue
+            dxpi[i] = d_xpi[i, pi_col[proj_pts[i]]]
+            if dxpi[i] < 0:
                 proj_pts[i] = None
                 skipped += 1
 
         pid, upts, pdist, refused = projection_ids(backend, proj_pts)
         skipped += refused
 
-        _ap1(spec, backend, P, xs, pid, upts, dxpi, p_points, constants, witnesses, examined)
+        d_xP = d_xp[:, [p_col[p] for p in p_points]]
+        _ap1(spec, backend, P, xs, pid, upts, dxpi, p_points, d_xP, constants, witnesses, examined)
         _ap2(spec, P, xs, pid, pdist, dmat, dP, constants, witnesses, examined)
-        _ap1p(spec, P, xs, proj_pts, dxpi, dP, constants, witnesses, examined)
+        _ap1p(spec, P, xs, pid, dxpi, dP, constants, witnesses, examined)
         _ap2p(spec, P, xs, pid, pdist, dmat, dxpi, constants, witnesses, examined)
 
     ap3_image_max, ap3_skipped = _ap3(
@@ -135,14 +146,23 @@ def check_ap_axioms(
     return report
 
 
-def _ap1(spec, backend, P, xs, pid, upts, dxpi, p_points, constants, witnesses, examined):
+def _distinct_columns(backend, xs, ys):
+    """``distance_block`` from ``xs`` to the distinct ``ys``, and the column
+    of each y."""
+    col: dict = {}
+    for y in ys:
+        col.setdefault(y, len(col))
+    return backend.distance_block(xs, list(col)), col
+
+
+def _ap1(spec, backend, P, xs, pid, upts, dxpi, p_points, d_xp, constants, witnesses, examined):
     """Slack d(x, pi(x)) + d(pi(x), p) - d(x, p) over every certified pair
-    (x, p) with p in ``p_points``, one block per coset; the witness is the
-    first maximum in row-major (x, then p) order."""
+    (x, p) with p in ``p_points``; ``d_xp`` holds d(x, p) for every sample
+    row.  The witness is the first maximum in row-major (x, then p) order."""
     rows = np.flatnonzero(pid >= 0)
     if not len(rows) or not p_points:
         return
-    d_xp = backend.distance_block([xs[r] for r in rows], p_points)
+    d_xp = d_xp[rows]
     d_pip = backend.distance_block(upts, p_points)[pid[rows]]
     ok = (d_xp >= 0) & (d_pip >= 0)
     examined["ap1"] += int(ok.sum())
@@ -160,115 +180,126 @@ def _ap1(spec, backend, P, xs, pid, upts, dxpi, p_points, constants, witnesses, 
 
 
 def _ap2(spec, P, xs, pid, pdist, dmat, dP, constants, witnesses, examined):
-    n = len(xs)
-    best = constants["ap2"]
-    for i in range(n):
-        if pid[i] < 0 or dP[i] < 0:
-            continue
-        sel = (dmat[i] >= 0) & (dmat[i] <= dP[i]) & (pid >= 0)
-        ids = np.unique(pid[sel])
-        examined["ap2"] += int(sel.sum())
-        if len(ids) < 2:
-            continue
-        sub = pdist[np.ix_(ids, ids)]
-        known = sub[sub >= 0]
-        if not known.size:
-            continue
-        diam = int(known.max())
-        if diam > best:
-            best = diam
-            witnesses["ap2"] = {
-                "x": element_str(spec, xs[i]),
-                "coset": coset_str(spec, P),
-                "diam": diam,
-            }
-    constants["ap2"] = best
+    """diam pi(B_d(x)) with d = d(x, P), the ball restricted to the certified
+    sample, from one (row x projection id) incidence matrix.  A row meeting
+    one id reads 0 from the diagonal of ``pdist``; the witness is the first
+    row of largest diameter."""
+    rows = np.flatnonzero((pid >= 0) & (dP >= 0))
+    if not len(rows):
+        return
+    # the certified sample columns, grouped by projection id
+    cols = np.argsort(pid, kind="stable")[np.count_nonzero(pid < 0):]
+    ids, starts = np.unique(pid[cols], return_index=True)
+    sel = dmat >= 0
+    sel &= dmat <= dP[:, None]
+    sel = sel[rows][:, cols]
+    examined["ap2"] += int(np.count_nonzero(sel))
+    ends = np.append(starts[1:], len(cols))
+    meets = np.stack([sel[:, s:e].any(axis=1) for s, e in zip(starts, ends)], axis=1)
+    sub = pdist[ids][:, ids]
+    diam = np.full(len(rows), -1, dtype=np.int32)
+    for a in range(len(ids)):
+        reach = np.where(meets, sub[a], -1).max(axis=1)
+        np.maximum(diam, np.where(meets[:, a], reach, -1), out=diam)
+    i = int(diam.argmax())
+    if diam[i] > constants["ap2"]:
+        constants["ap2"] = int(diam[i])
+        witnesses["ap2"] = {
+            "x": element_str(spec, xs[rows[i]]),
+            "coset": coset_str(spec, P),
+            "diam": int(diam[i]),
+        }
 
 
 def _ap3(spec, backend, points, constants, witnesses, examined):
     """diam pi_P(Q) over ordered pairs of distinct cosets; ``points`` maps
-    each coset, in order, to its sampled points."""
-    best = constants["ap3"]
-    image_max = 0
+    each coset, in order, to its sampled points.  One ``project_block`` per
+    P covers the other cosets' points, and one distance block the points
+    of every image with two or more points."""
     skipped = 0
+    images = []  # (P, Q, distinct image points in first-seen order)
     for P in points:
-        for Q, q_points in points.items():
-            if P == Q:
-                continue
-            image: dict = {}
-            for q in q_points:
-                try:
-                    image.setdefault(projection(spec, backend, P, q), None)
-                except OutOfRangeError:
+        others = [Q for Q in points if Q != P]
+        proj = backend.project_block(P, [q for Q in others for q in points[Q]])
+        start = 0
+        for Q in others:
+            part = proj[start : start + len(points[Q])]
+            start += len(points[Q])
+            image = [p for p in part if p is not None]
+            skipped += len(part) - len(image)
+            examined["ap3"] += len(image)
+            images.append((P, Q, list(dict.fromkeys(image))))
+    image_max = max((len(pts) for _, _, pts in images), default=0)
+    multi = list(dict.fromkeys(p for _, _, pts in images if len(pts) > 1 for p in pts))
+    col = {p: k for k, p in enumerate(multi)}
+    dist = backend.distance_block(multi, multi)
+    best = constants["ap3"]
+    for P, Q, pts in images:
+        for a in range(len(pts)):
+            for b in range(a + 1, len(pts)):
+                d = int(dist[col[pts[a]], col[pts[b]]])
+                if d < 0:
                     skipped += 1
                     continue
-                examined["ap3"] += 1
-            pts = list(image)
-            image_max = max(image_max, len(pts))
-            for a in range(len(pts)):
-                for b in range(a + 1, len(pts)):
-                    try:
-                        d = backend.distance(pts[a], pts[b])
-                    except OutOfRangeError:
-                        skipped += 1
-                        continue
-                    if d > best:
-                        best = d
-                        witnesses["ap3"] = {
-                            "P": coset_str(spec, P),
-                            "Q": coset_str(spec, Q),
-                            "diam": d,
-                        }
+                if d > best:
+                    best = d
+                    witnesses["ap3"] = {
+                        "P": coset_str(spec, P),
+                        "Q": coset_str(spec, Q),
+                        "diam": d,
+                    }
     constants["ap3"] = best
     return image_max, skipped
 
 
-def _ap1p(spec, P, xs, proj_pts, dxpi, dP, constants, witnesses, examined):
-    best = constants["ap1p"]
-    for i, x in enumerate(xs):
-        if proj_pts[i] is None or dP[i] < 0:
-            continue
-        examined["ap1p"] += 1
-        slack = int(dxpi[i]) - int(dP[i])
-        if slack > best:
-            best = slack
-            witnesses["ap1p"] = {
-                "x": element_str(spec, x),
-                "coset": coset_str(spec, P),
-                "slack": slack,
-            }
-    constants["ap1p"] = best
+def _ap1p(spec, P, xs, pid, dxpi, dP, constants, witnesses, examined):
+    """Slack d(x, pi(x)) - d(x, P) over the certified rows; the witness is
+    the first row of largest slack."""
+    rows = np.flatnonzero((pid >= 0) & (dP >= 0))
+    examined["ap1p"] += len(rows)
+    if not len(rows):
+        return
+    slack = dxpi[rows] - dP[rows]
+    i = int(slack.argmax())
+    if slack[i] > constants["ap1p"]:
+        constants["ap1p"] = int(slack[i])
+        witnesses["ap1p"] = {
+            "x": element_str(spec, xs[rows[i]]),
+            "coset": coset_str(spec, P),
+            "slack": int(slack[i]),
+        }
 
 
 def _ap2p(spec, P, xs, pid, pdist, dmat, dxpi, constants, witnesses, examined):
     """Minimal C with: d(pi(x1), pi(x2)) > C implies the through-coset bound
     with slack C.  Per pair the constraint is C >= min(gap, slack), so the
     minimum over the sample is the max of that expression."""
-    n = len(xs)
-    best = constants["ap2p"]
     valid = (pid >= 0) & (dxpi >= 0)
-    idx = np.nonzero(valid)[0]
-    if len(idx) < 2:
+    if np.count_nonzero(valid) < 2:
         return
-    gaps = pdist[pid[idx][:, None], pid[idx][None, :]]
-    dd = dmat[np.ix_(idx, idx)]
-    sl = dxpi[idx][:, None] + gaps + dxpi[idx][None, :] - dd
-    ok = (dd >= 0) & (gaps >= 0)
-    examined["ap2p"] += int(ok.sum())
-    need = np.minimum(gaps, sl)
-    need[~ok] = -1
-    worst = int(need.max()) if need.size else 0
-    if worst > best:
-        best = worst
-        a, b = np.unravel_index(int(need.argmax()), need.shape)
+    # an uncertified row reads the padding: gap -1, left out below
+    ids = np.where(valid, pid, -1)
+    gaps = np.pad(pdist, (0, 1), constant_values=-1)[ids][:, ids]
+    ok = dmat >= 0
+    ok &= gaps >= 0
+    examined["ap2p"] += int(np.count_nonzero(ok))
+    # min(gap, slack) = gap + min(0, d(x1, pi) + d(x2, pi) - d(x1, x2))
+    need = np.add.outer(dxpi, dxpi)
+    need -= dmat
+    np.minimum(need, 0, out=need)
+    need += gaps
+    np.copyto(need, -1, where=~ok)
+    a, b = np.unravel_index(int(need.argmax()), need.shape)
+    if need[a, b] > constants["ap2p"]:
+        gap = int(gaps[a, b])
+        constants["ap2p"] = int(need[a, b])
         witnesses["ap2p"] = {
-            "x1": element_str(spec, xs[idx[a]]),
-            "x2": element_str(spec, xs[idx[b]]),
+            "x1": element_str(spec, xs[a]),
+            "x2": element_str(spec, xs[b]),
             "coset": coset_str(spec, P),
-            "gap": int(gaps[a, b]),
-            "slack": int(sl[a, b]),
+            "gap": gap,
+            "slack": int(dxpi[a]) + gap + int(dxpi[b]) - int(dmat[a, b]),
         }
-    constants["ap2p"] = best
 
 
 def _equivalence(report: ApReport) -> None:

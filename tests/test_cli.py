@@ -279,6 +279,27 @@ def test_bad_config_value_exit_two(tmp_path, capsys, key, value, message):
     assert not (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("", "the formula suite needs at least one threshold"),
+        ("2 -1 8", "thresholds must be nonnegative, got -1"),
+    ],
+    ids=["empty", "negative"],
+)
+def test_bad_threshold_exit_two(tmp_path, capsys, value, message):
+    # an empty list would run the formula suite on nothing and exit 0; a
+    # negative threshold would be reported as a row L=-1
+    text = open(config_path("c2c3.cfg")).read()
+    cfg = tmp_path / "bad.cfg"
+    text = re.sub(r"^thresholds = .*$", f"thresholds = {value}", text, count=1, flags=re.M)
+    cfg.write_text(text)
+    assert "formula" in parse_config(str(cfg)).suites
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "rep").exists()
+
+
 REFUSED_FORMULA_CFG = """\
 [group]
 factors =

@@ -201,6 +201,31 @@ def test_coset_distances_match_scalar(request, name, sample_radius):
     assert (refused > 0) == isinstance(backend, BfsBackend)
 
 
+PROJECT_CASES = [
+    ("c2c3_exact", 4), ("s3c2_exact", 4), ("zxz2_exact", 4), ("ext_bfs8", 6), ("zxz2_bfs6", 4),
+]
+
+
+@pytest.mark.parametrize("name, sample_radius", PROJECT_CASES, ids=[n for n, _ in PROJECT_CASES])
+def test_project_block_matches_scalar(request, name, sample_radius):
+    # project_block equals project over every coset meeting ball(3) and the
+    # whole sample ball, with None exactly where project refuses; in exact
+    # mode the gate is read off the syllables, so S3 * C2, where s*h and h*s
+    # differ, checks the prefix test
+    backend = request.getfixturevalue(name)
+    spec = backend.spec
+    xs = list(ball(spec, sample_radius))
+    refused = 0
+    for P in cosets_meeting_ball(spec, ball(spec, 3)):
+        for x, got in zip(xs, backend.project_block(P, xs), strict=True):
+            try:
+                assert got == backend.project(P, x)
+            except OutOfRangeError:
+                assert got is None
+                refused += 1
+    assert (refused > 0) == isinstance(backend, BfsBackend)
+
+
 def _scalar_block(fn, rows, cols):
     """fn over rows x cols, -1 where it raises OutOfRangeError."""
     out = []
