@@ -81,8 +81,9 @@ class RunConfig:
         for key in ("hat_radius", "coset_radius"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be nonnegative, got {getattr(self, key)}")
-        if self.samples < 1:
-            raise ConfigError(f"samples must be at least 1, got {self.samples}")
+        for key in ("samples", "ball_cap"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         if "formula" in self.suites and not self.thresholds:
             raise ConfigError("the formula suite needs at least one threshold")
         for t in self.thresholds:

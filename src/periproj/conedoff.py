@@ -9,7 +9,10 @@ generating set the distance has a closed form: each peripheral syllable of
 For extended generating sets (and for geodesic enumeration in general) a
 windowed BFS backend is used: the graph is restricted to a ball around the
 identity and distances are certified via the maximal per-edge displacement,
-which requires every peripheral factor to be finite in extended mode.
+which requires every peripheral factor to be finite in extended mode.  The
+window is the shared indexed ball of its radius (``group.ball``), completed
+with the neighbour ids of its last level; the coned-off BFS runs level by
+level over those ids and each coset's key, expanding each coset once.
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidFactorError, OutOfRangeError, UnsupportedMetricError
 from .group import (
     DEFAULT_BALL_CAP,
     Element,
     GroupSpec,
+    IdTable,
     ball,
     element_str,
     inv,
@@ -31,7 +37,7 @@ from .group import (
     sort_key,
 )
 from .metric import VertexPath
-from .peripheral import Coset, coset_of, coset_str, group_by_coset, member_coord
+from .peripheral import Coset, coset_of, coset_str, member_coord
 
 CAY = "cay"
 CONE = "cone"
@@ -149,34 +155,41 @@ class ConedOffBackend:
             self._build_window(radius, cap)
 
     def _build_window(self, radius: int, cap: int) -> None:
-        spec = self.spec
-        self.gtable = ball(spec, radius, cap)
-        members = group_by_coset(spec, self.gtable)
-        for lst in members.values():
-            lst.sort(key=lambda p: sort_key(spec, p))
-        self._members = members
-        self._moves = [(label, g, inv(spec, g)) for label, g in spec.moves()]
-        self.hat_table = self._hat_bfs()
+        self.gtable = ball(self.spec, radius, cap)
+        self._steps = self.gtable.complete()
+        self._cosets = [self.gtable.cosets(i) for i in self.spec.peripheral_indices]
+        moves = self.spec.moves()
+        column = {g: k for k, (_, g) in enumerate(moves)}
+        # (label, column of the inverse move): u -> v along a move is v's
+        # neighbour u along the inverse move
+        self._back = [(label, column[inv(self.spec, g)]) for label, g in moves]
+        self.hat_table = IdTable(self.gtable.index, self._hat_bfs().tolist())
         self._pred_cache: dict = {}
 
-    def _hat_bfs(self) -> dict[Element, int]:
-        spec = self.spec
-        dist: dict[Element, int] = {(): 0}
-        frontier: deque[Element] = deque([()])
-        while frontier:
-            v = frontier.popleft()
-            d = dist[v]
-            for _, g, _ in self._moves:
-                u = mul(spec, v, g)
-                if u in self.gtable and u not in dist:
-                    dist[u] = d + 1
-                    frontier.append(u)
-            for i in spec.peripheral_indices:
-                for u in self._members[coset_of(spec, v, i)]:
-                    if u not in dist:
-                        dist[u] = d + 1
-                        frontier.append(u)
-        return dist
+    def _hat_bfs(self) -> np.ndarray:
+        """Coned-off distances of the window's elements, by id: a BFS by
+        levels over Cayley edges inside the ball and cone edges, which
+        expands each coset once, when the first of its members is reached."""
+        n = len(self.gtable)
+        hat = np.full(n, -1, dtype=np.int32)
+        hat[0] = 0
+        expanded = [np.zeros(len(c.first), dtype=bool) for c in self._cosets]
+        frontier = np.zeros(1, dtype=np.intp)
+        d = 0
+        while frontier.size:
+            d += 1
+            reached = np.zeros(n, dtype=bool)
+            cayley = self._steps[frontier].ravel()
+            reached[cayley[cayley >= 0]] = True
+            for cosets, done in zip(self._cosets, expanded):
+                fresh = np.zeros(len(done), dtype=bool)
+                fresh[cosets.key[frontier]] = True
+                fresh &= ~done
+                done |= fresh
+                reached |= fresh[cosets.key]
+            frontier = np.flatnonzero(reached & (hat < 0))
+            hat[frontier] = d
+        return hat
 
     def distance(self, x: Element, y: Element) -> int:
         """Certified coned-off distance (exact formula in standard mode)."""
@@ -230,16 +243,23 @@ class ConedOffBackend:
         if cached is not None:
             return cached
         spec = self.spec
+        elements = self.gtable.elements
+        hat = self.hat_table.by_id
+        j = self.gtable.index[v]
         out = []
-        for label, _, g_inv in self._moves:
-            u = mul(spec, v, g_inv)
-            if self.hat_table.get(u) == d - 1:
-                out.append((u, (CAY, label)))
-        for i in spec.peripheral_indices:
+        row = self._steps[j].tolist()
+        for label, back in self._back:
+            u = row[back]
+            if u >= 0 and hat[u] == d - 1:
+                out.append((elements[u], (CAY, label)))
+        for i, cosets in zip(spec.peripheral_indices, self._cosets):
             coset = coset_of(spec, v, i)
-            for u in self._members[coset]:
-                if u != v and self.hat_table.get(u) == d - 1:
-                    out.append((u, (CONE, coset)))
+            members = [
+                elements[u] for u in cosets.members(int(cosets.key[j]))
+                if u != j and hat[u] == d - 1
+            ]
+            for u in sorted(members, key=lambda p: sort_key(spec, p)):
+                out.append((u, (CONE, coset)))
         self._pred_cache[v] = out
         return out
 

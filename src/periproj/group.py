@@ -9,8 +9,13 @@ empty tuple.
 
 from __future__ import annotations
 
+import weakref
+from array import array
 from collections import deque
+from collections.abc import Mapping
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import BallBudgetError, InvalidFactorError, NormalFormError
 from .factor import Factor
@@ -162,45 +167,276 @@ def syllable_length(spec: GroupSpec, x: Element) -> int:
     return sum(factors[fi].length(c) for fi, c in x)
 
 
-def ball(spec: GroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP) -> dict[Element, int]:
+# cells per row chunk of a walk: bounds the scratch arrays of ``Ball.walk``
+_WALK_CELLS = 1 << 15
+
+
+class IdTable(Mapping):
+    """A read-only map from elements to ints over a shared id index: the
+    value of x is ``by_id[index[x]]``, and iteration follows id order."""
+
+    def __init__(self, index: dict, by_id):
+        self.index = index
+        self.by_id = by_id
+
+    def __getitem__(self, x: Element) -> int:
+        return self.by_id[self.index[x]]
+
+    def get(self, x: Element, default=None):
+        i = self.index.get(x)
+        return default if i is None else self.by_id[i]
+
+    def __contains__(self, x) -> bool:
+        return x in self.index
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def items(self):
+        """An iterator over the (element, value) pairs in id order."""
+        return zip(self.index, self.by_id)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+class Ball(IdTable):
+    """The elements within ``radius`` of the identity, with exact BFS
+    distances, as a map element -> distance in BFS order, and indexed.
+
+    An element's id is its BFS position (``elements[id]``).  Per id the ball
+    keeps the distance, the BFS parent and the parent move (an index into
+    ``spec.moves()``), so that ``elements[id] = elements[parent] * move``.
+    The neighbour id of every move is recorded for the elements the BFS
+    expanded, those at distance below ``radius``; ``complete`` adds the last
+    level, whose neighbours only the coned-off window needs.  The ids make
+    ``walk`` and the coset index (``cosets``) array reads.
+    """
+
+    def __init__(self, spec: GroupSpec, radius: int, cap: int):
+        self.spec = spec
+        self.radius = radius
+        products, columns = _right_products(spec)
+        index: dict[Element, int] = {IDENTITY: 0}
+        frontier = deque([IDENTITY])  # ids in order: the frontier's first is xid
+        dist, parent, pmove = array("i", [0]), array("i", [-1]), array("i", [-1])
+        nbr = array("i")
+        if cap < 1:
+            _over_cap(radius, cap)
+        xid = 0
+        while frontier and dist[xid] < radius:
+            d1 = dist[xid] + 1
+            for k, y in zip(columns, products(frontier.popleft())):
+                j = index.get(y)
+                if j is None:
+                    j = len(index)
+                    if j >= cap:
+                        _over_cap(radius, cap)
+                    index[y] = j
+                    frontier.append(y)
+                    dist.append(d1)
+                    parent.append(xid)
+                    pmove.append(k)
+                nbr.append(j)
+            xid += 1
+        super().__init__(index, dist)
+        self._elements: list[Element] | None = None
+        self.dist = np.frombuffer(dist, dtype=np.intc)
+        self.parent = np.frombuffer(parent, dtype=np.intc)
+        self.pmove = np.frombuffer(pmove, dtype=np.intc)
+        # neighbour ids of the first ``_known`` elements in spec.moves()
+        # order, -1 outside the ball, and a last row of -1 that every id
+        # without recorded neighbours reads
+        self._steps = _steps_table(nbr, columns)
+        self._known = xid
+        self._cosets: dict[int, FactorCosets] = {}
+
+    @property
+    def elements(self) -> list[Element]:
+        """The elements by id, listed on first use."""
+        if self._elements is None:
+            self._elements = list(self.index)
+        return self._elements
+
+    def complete(self) -> np.ndarray:
+        """Neighbour ids (one column per move, -1 outside the ball) of every
+        element, recording those of the last level on the first call."""
+        n = len(self.index)
+        if self._known < n:
+            products, columns = _right_products(self.spec)
+            get = self.index.get
+            last = array("i")
+            for x in self.elements[self._known:]:
+                last.extend([get(y, -1) for y in products(x)])
+            self._steps = np.concatenate([self._steps[:-1], _steps_table(last, columns)])
+            self._known = n
+        return self._steps[:-1]
+
+    def id_of(self, x: Element) -> int:
+        return self.index.get(x, -1)
+
+    def _words(self, ids) -> np.ndarray:
+        """The parent moves from the identity to each id, one row per id,
+        right-aligned and padded in front with -1 (no move)."""
+        cur = np.array(ids, dtype=np.intp)
+        depth = int(self.dist[cur].max(initial=0))
+        letters = np.full((len(cur), depth), -1, dtype=np.int32)
+        for j in range(depth - 1, -1, -1):
+            live = np.flatnonzero(cur > 0)
+            letters[live, j] = self.pmove[cur[live]]
+            cur[live] = self.parent[cur[live]]
+        return letters
+
+    def walk(self, starts, targets) -> np.ndarray:
+        """The id of s * t for each start id s (rows) and target id t
+        (columns): from s, follow the parent moves of t, one gather per
+        letter over all cells at once.  -1 where s or t is -1 or where the
+        path meets an element whose neighbours are not recorded before its
+        last move; s * t may still lie in the ball there."""
+        starts = np.asarray(starts, dtype=np.intp)
+        targets = np.asarray(targets, dtype=np.intp)
+        out = np.empty((len(starts), len(targets)), dtype=np.int32)
+        if not out.size:
+            return out
+        letters = self._words(np.maximum(targets, 0))
+        real = letters >= 0
+        moves = np.maximum(letters, 0)
+        steps, known = self._steps, self._known
+        chunk = max(1, _WALK_CELLS // len(targets))
+        for r0 in range(0, len(starts), chunk):
+            cur = np.repeat(starts[r0:r0 + chunk, None], len(targets), axis=1)
+            for j in range(letters.shape[1]):
+                # ids without recorded neighbours read the -1 row
+                cur = np.where(real[:, j], steps[np.minimum(cur, known), moves[:, j]], cur)
+            cur[:, targets < 0] = -1
+            out[r0:r0 + chunk] = cur
+        return out
+
+    def cosets(self, i: int) -> FactorCosets:
+        """The index of the cosets x H_i meeting the ball, built on first use."""
+        if i not in self._cosets:
+            self._cosets[i] = FactorCosets(self, i)
+        return self._cosets[i]
+
+
+class FactorCosets:
+    """The left cosets x H_i of factor i that meet a ball, by integer key.
+
+    The key of a coset is the id of its canonical representative (x with
+    any trailing i-syllable stripped) when that lies in the ball, and
+    ``len(ball)`` plus a first-seen rank otherwise.  ``key[id]`` is the key
+    of the element's coset, ``first[key]`` the distance of the coset's
+    nearest ball member, and ``members(key)`` its ids in BFS order.
+    """
+
+    def __init__(self, ball: Ball, i: int):
+        n = len(ball)
+        spec = ball.spec
+        in_factor = np.array([len(g) == 1 and g[0][0] == i for _, g in spec.moves()])
+        ids = np.arange(n)
+        # a move inside H_i keeps the coset, and with it the parent's key
+        inherit = np.zeros(n, dtype=bool)
+        inherit[1:] = in_factor[ball.pmove[1:]]
+        key = ids.copy()
+        self._index = ball.index  # not the ball: no reference cycle
+        self._extra: dict[Element, int] = {}
+        for j in np.flatnonzero(~inherit).tolist():
+            x = ball.elements[j]
+            if x and x[-1][0] == i:
+                k = self.key_of(x[:-1])
+                key[j] = self._extra.setdefault(x[:-1], n + len(self._extra)) if k is None else k
+        root = np.where(inherit, ball.parent, ids)
+        while True:  # pointer jumping to the nearest non-inheriting ancestor
+            nxt = root[root]
+            if np.array_equal(nxt, root):
+                break
+            root = nxt
+        self.key = key[root]
+        self._order = np.argsort(self.key, kind="stable")
+        self._sorted = self.key[self._order]
+        head = np.flatnonzero(np.r_[True, self._sorted[1:] != self._sorted[:-1]])
+        self.first = np.full(n + len(self._extra), -1, dtype=np.int32)
+        self.first[self._sorted[head]] = ball.dist[self._order[head]]
+        self._members: dict[int, list[int]] = {}
+
+    def key_of(self, rep: Element) -> int | None:
+        """The key of the coset with canonical representative ``rep``, None
+        when the coset misses the ball."""
+        j = self._index.get(rep)
+        return self._extra.get(rep) if j is None else j
+
+    def members(self, key: int) -> list[int]:
+        """The ids of the coset's ball members, in BFS order (memoized)."""
+        found = self._members.get(key)
+        if found is None:
+            lo, hi = np.searchsorted(self._sorted, [key, key + 1]).tolist()
+            found = self._members[key] = self._order[lo:hi].tolist()
+        return found
+
+
+def _over_cap(radius: int, cap: int):
+    raise BallBudgetError(f"ball(radius={radius}) exceeded cap of {cap} elements")
+
+
+def _steps_table(rows: array, columns: list[int]) -> np.ndarray:
+    """Neighbour ids recorded row by row in ``columns`` order, as a table
+    with one column per move of ``spec.moves()`` and a last row of -1."""
+    rows.extend([-1] * len(columns))
+    table = np.frombuffer(rows, dtype=np.intc).reshape(-1, len(columns))
+    return table if columns == sorted(columns) else table[:, np.argsort(columns)]
+
+
+def _right_products(spec: GroupSpec):
+    """A function x -> [x * g for each move g], single-syllable moves first,
+    then longer words, and the index in ``spec.moves()`` of each column.
+
+    Appending a syllable reuses the move's own syllable tuple.
+    """
+    moves = spec.moves()
+    columns = [k for k, (_, g) in enumerate(moves) if len(g) == 1]
+    columns += [k for k, (_, g) in enumerate(moves) if len(g) > 1]
+    single = [(g[0][0], g[0][1], spec.factors[g[0][0]], g) for _, g in moves if len(g) == 1]
+    words = [g for _, g in moves if len(g) > 1]
+
+    def products(x: Element) -> list:
+        out = []
+        last = x[-1][0] if x else -1
+        for fi, coord, f, g in single:
+            if fi == last:
+                c = f.mul(x[-1][1], coord)
+                out.append(x[:-1] if f.is_identity(c) else x[:-1] + ((fi, c),))
+            else:
+                out.append(x + g)
+        for w in words:
+            out.append(mul(spec, x, w))
+        return out
+
+    return products, columns
+
+
+# one ball per (spec, radius) while something holds it: the backends of one
+# radius share it, and a weak value never keeps a ball alive past its holders
+_BALLS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def ball(spec: GroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
     """All elements within ``radius`` of the identity, with exact BFS distances.
 
     Uses the spec's full generating set (standard plus extras).  Iteration
-    order of the returned dict is the deterministic BFS order.  Raises
-    BallBudgetError when the ball would exceed ``cap`` elements; the metric
-    is left-invariant, so balls at other centers are left translates.
+    order of the returned ``Ball`` is the deterministic BFS order.  Raises
+    BallBudgetError when the ball has more than ``cap`` elements; the metric
+    is left-invariant, so balls at other centers are left translates.  While
+    a ball is alive, later calls with the same spec and radius return it,
+    with the same cap check a fresh build makes.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    dist: dict[Element, int] = {IDENTITY: 0}
-    frontier: deque[Element] = deque([IDENTITY])
-    moves = spec.moves()
-    single = [m[1][0] for m in moves if len(m[1]) == 1]
-    words = [m[1] for m in moves if len(m[1]) > 1]
-    while frontier:
-        x = frontier.popleft()
-        d = dist[x]
-        if d == radius:
-            continue
-        for fi, coord in single:
-            y = mul_syllable(spec, x, fi, coord)
-            if y not in dist:
-                if len(dist) >= cap:
-                    raise BallBudgetError(
-                        f"ball(radius={radius}) exceeded cap of {cap} elements"
-                    )
-                dist[y] = d + 1
-                frontier.append(y)
-        for w in words:
-            y = mul(spec, x, w)
-            if y not in dist:
-                if len(dist) >= cap:
-                    raise BallBudgetError(
-                        f"ball(radius={radius}) exceeded cap of {cap} elements"
-                    )
-                dist[y] = d + 1
-                frontier.append(y)
-    return dist
+    found = _BALLS.get((spec, radius))
+    if found is None:
+        found = _BALLS[(spec, radius)] = Ball(spec, radius, cap)
+    elif len(found) > cap:
+        _over_cap(radius, cap)
+    return found
 
 
 def sort_key(spec: GroupSpec, x: Element):

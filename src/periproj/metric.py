@@ -6,10 +6,11 @@ Two interchangeable backends answer the same metric interface:
   generating set: the distance is the sum of factor word lengths over the
   syllables of ``x^-1 y``, and geodesics concatenate in-factor geodesics.
 * ``BfsBackend``: a breadth-first ball around the identity for any finite
-  generating set.  Every distance it reports is exact (the graph is grown on
-  the fly, never truncated); a lookup outside the ball raises OutOfRangeError
-  instead of guessing.  Left-invariance reduces d(x, y) to a single table
-  lookup of ``x^-1 y``.
+  generating set, shared with every other holder of the same spec and
+  radius (``group.ball``).  Every distance it reports is exact (the graph is
+  grown on the fly, never truncated); a lookup outside the ball raises
+  OutOfRangeError instead of guessing.  Left-invariance reduces d(x, y) to a
+  single table lookup of ``x^-1 y``.
 
 The interface: ``distance`` and ``geodesic``; the blocks ``distance_block(xs,
 ys)`` and ``coset_distance_block(cosets, xs)`` as int32 arrays with -1 where a
@@ -30,8 +31,13 @@ Projection routes:
 Exact blocks never multiply elements: both inputs are encoded by their
 syllable prefixes (paths in the Bass-Serre tree of the free product), and
 numpy reads each distance from the tails past the first differing syllable
-(``_prefix_block``).  The scalar ``distance``, ``coset_distance`` and
-``project`` are the reference every block is tested against.
+(``_prefix_block``).  BFS blocks are walks in the indexed ball: the id of
+x^-1 y is reached from x^-1 along the parent moves of y, one gather per
+move over all cells (``Ball.walk``), and d(x, P) is the distance of the
+nearest ball member of the coset of x^-1 rep.  A cell whose walk leaves the
+ball falls back to the scalar path.  The scalar ``distance``,
+``coset_distance`` and ``project`` are the reference every block is tested
+against.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from .group import (
     sort_key,
     syllable_length,
 )
-from .peripheral import Coset, coset_member, coset_of, gate_point, group_by_coset
+from .peripheral import Coset, coset_member, coset_of, gate_point
 
 
 @dataclass
@@ -321,7 +327,8 @@ class BfsBackend:
 
     ``distance`` certifies exactness by construction: a value is returned only
     when ``x^-1 y`` lies inside the ball, and BFS distances in the on-the-fly
-    graph are true Cayley distances.
+    graph are true Cayley distances.  The ball (``table``, a map element ->
+    distance) is shared with every other holder of the same spec and radius.
     """
 
     def __init__(self, spec: GroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP):
@@ -331,47 +338,61 @@ class BfsBackend:
         self._moves = [
             (label, g, inv(spec, g)) for label, g in spec.moves()
         ]
-        self._coset_index: dict[Coset, list[Element]] | None = None
 
     def coset_points(self, P: Coset, level_cap: int | None = None) -> list[Element]:
         """Ball elements lying in P, in BFS order (nondecreasing distance);
         ``level_cap`` is ignored, as the ball already bounds the coset.  The
-        index of all cosets is built on the first call, so a backend used only
-        for distances never pays for it."""
-        if self._coset_index is None:
-            self._coset_index = group_by_coset(self.spec, self.table)
-        return self._coset_index.get(P, [])
+        ball's coset index is built on the first coset query, so a backend
+        used only for distances never pays for it."""
+        return [self.table.elements[j] for j in self._coset_ids(P)]
+
+    def _coset_ids(self, P: Coset) -> list[int]:
+        cosets = self.table.cosets(P.factor_index)
+        key = cosets.key_of(P.rep)
+        return cosets.members(key) if key is not None else []
 
     def distance(self, x: Element, y: Element) -> int:
-        w = mul(self.spec, inv(self.spec, x), y)
-        d = self.table.get(w)
-        if d is None:
+        j = self.table.index.get(mul(self.spec, inv(self.spec, x), y))
+        if j is None:
             raise OutOfRangeError(
                 f"pair at distance > {self.radius}: not certified by this backend"
             )
-        return d
+        return self.table.by_id[j]
 
     def distance_block(self, xs, ys) -> np.ndarray:
-        """d(x, y) for x in ``xs`` (rows) and y in ``ys`` (columns), one table
-        lookup of x^-1 y each; -1 outside the ball."""
-        spec = self.spec
-        table = self.table
-        out = np.empty((len(xs), len(ys)), dtype=np.int32)
-        for k, x in enumerate(xs):
-            xi = inv(spec, x)
-            out[k] = [table.get(mul(spec, xi, y), -1) for y in ys]
+        """d(x, y) for x in ``xs`` (rows) and y in ``ys`` (columns), -1
+        outside the ball: the id of x^-1 y is a walk in the ball from x^-1
+        along the parent moves of y (``Ball.walk``).  A cell whose walk
+        leaves the ball falls back to the table lookup of x^-1 y."""
+        spec, table = self.spec, self.table
+        xis = [inv(spec, x) for x in xs]
+        ends = table.walk([table.id_of(xi) for xi in xis], [table.id_of(y) for y in ys])
+        out = table.dist[ends]  # cells with ends -1 are all refilled below
+        for r in np.flatnonzero((ends < 0).any(axis=1)).tolist():
+            cols = np.flatnonzero(ends[r] < 0)
+            out[r, cols] = [table.get(mul(spec, xis[r], ys[c]), -1) for c in cols.tolist()]
         return out
 
     def coset_distance_block(self, cosets, xs) -> np.ndarray:
         """d(x, P) for P in ``cosets`` (rows) and x in ``xs`` (columns), -1
-        where the minimum is not certified."""
-        out = np.empty((len(cosets), len(xs)), dtype=np.int32)
-        for r, P in enumerate(cosets):
-            for c, x in enumerate(xs):
-                try:
-                    out[r, c] = self.coset_distance(P, x)
-                except OutOfRangeError:
-                    out[r, c] = -1
+        where the minimum is not certified: the coset x^-1 P of the ball
+        element x^-1 rep (a walk, as in ``distance_block``) and the distance
+        of its nearest ball member.  A cell whose walk leaves the ball falls
+        back to ``coset_distance``."""
+        spec, table = self.spec, self.table
+        ends = table.walk(
+            [table.id_of(inv(spec, x)) for x in xs], [table.id_of(P.rep) for P in cosets]
+        ).T
+        out = np.empty(ends.shape, dtype=np.int32)
+        for i in sorted({P.factor_index for P in cosets}):
+            rows = [r for r, P in enumerate(cosets) if P.factor_index == i]
+            index = table.cosets(i)
+            out[rows] = index.first[index.key[ends[rows]]]  # -1 cells refilled below
+        for r, c in zip(*np.nonzero(ends < 0)):
+            try:
+                out[r, c] = self.coset_distance(cosets[r], xs[c])
+            except OutOfRangeError:
+                out[r, c] = -1
         return out
 
     def coset_minimizers(self, P: Coset, x: Element, limit: int | None = None):
@@ -387,19 +408,19 @@ class BfsBackend:
         table = self.table
         if limit is None or limit > self.radius + 1:
             limit = self.radius + 1
-        members = self.coset_points(
+        members = self._coset_ids(
             coset_of(spec, mul(spec, inv(spec, x), P.rep), P.factor_index)
         )
-        found: list[Element] = []
-        for g in members:
-            d = table[g]
-            if d >= limit or (found and d > best):
+        dist = table.by_id
+        if not members or dist[members[0]] >= limit:
+            raise OutOfRangeError(f"no coset point within {limit - 1} of x")
+        best = dist[members[0]]
+        found = []
+        for j in members:
+            if dist[j] > best:
                 break
-            best = d
-            found.append(mul(spec, x, g))
-        if found:
-            return best, found
-        raise OutOfRangeError(f"no coset point within {limit - 1} of x")
+            found.append(mul(spec, x, table.elements[j]))
+        return best, found
 
     def project(self, P: Coset, x: Element) -> Element:
         """The least (by ``sort_key``) of the certified minimizers."""
@@ -422,6 +443,7 @@ class BfsBackend:
     def geodesic(self, x: Element, y: Element) -> VertexPath:
         """Greedy geodesic: first move (in generating-set order) that decreases distance."""
         spec = self.spec
+        index, dist = self.table.index, self.table.by_id
         w = mul(spec, inv(spec, x), y)
         d = self.table.get(w)
         if d is None:
@@ -432,7 +454,8 @@ class BfsBackend:
         while w:
             for label, g, g_inv in self._moves:
                 nw = mul(spec, g_inv, w)
-                if self.table.get(nw) == d - 1:
+                j = index.get(nw)
+                if j is not None and dist[j] == d - 1:
                     cur = mul(spec, cur, g)
                     vertices.append(cur)
                     labels.append(label)

@@ -173,16 +173,6 @@ def separating_cosets(spec: GroupSpec, x: Element, y: Element) -> list[Coset]:
     return out
 
 
-def group_by_coset(spec: GroupSpec, elements) -> dict[Coset, list[Element]]:
-    """Every peripheral coset meeting ``elements``, mapped to the elements
-    lying in it, in iteration order."""
-    members: dict[Coset, list[Element]] = {}
-    for g in elements:
-        for i in spec.peripheral_indices:
-            members.setdefault(coset_of(spec, g, i), []).append(g)
-    return members
-
-
 def cosets_meeting_ball(spec: GroupSpec, elements) -> list[Coset]:
     """All peripheral cosets containing at least one of the given elements,
     in deterministic first-seen order."""

@@ -265,14 +265,22 @@ def test_bfs_reports_identical_across_hash_seeds(tmp_path):
         ("hat_radius", "-1", "hat_radius must be nonnegative, got -1"),
         ("coset_radius", "-1", "coset_radius must be nonnegative, got -1"),
         ("samples", "0", "samples must be at least 1, got 0"),
+        ("ball_cap", "0", "ball_cap must be at least 1, got 0"),
+        ("ball_cap", "-5", "ball_cap must be at least 1, got -5"),
     ],
-    ids=["hat_radius", "coset_radius", "samples"],
+    ids=["hat_radius", "coset_radius", "samples", "ball_cap_zero", "ball_cap_negative"],
 )
 def test_bad_config_value_exit_two(tmp_path, capsys, key, value, message):
-    # each value would otherwise fail inside a suite, with a traceback and exit 4
+    # each value would otherwise fail inside a suite, with a traceback and
+    # exit 4, or (ball_cap) as an exhausted budget with exit 3; c2c3.cfg has
+    # no ball_cap line, so one is inserted into [backend]
     text = open(config_path("c2c3.cfg")).read()
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M))
+    line = f"{key} = {value}"
+    text, found = re.subn(rf"^{key} = .*$", line, text, count=1, flags=re.M)
+    if not found:
+        text = text.replace("[backend]\n", f"[backend]\n{line}\n", 1)
+    cfg.write_text(text)
     assert getattr(parse_config(str(cfg)), key) == int(value)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"

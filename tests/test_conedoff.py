@@ -2,12 +2,14 @@
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
 from periproj import (
     BfsBackend,
     ConedOffBackend,
+    CyclicFactor,
     ExactBackend,
     GroupSpec,
     InfiniteCyclicFactor,
@@ -18,14 +20,16 @@ from periproj import (
     check_bcp,
     dist_hat,
     geodesic_hat,
+    inv,
     lift,
+    mul,
     parse_element,
     quasigeodesic_constants,
     random_element,
 )
 from periproj.conedoff import CAY, CONE, hat_edge_str, path_crossings
-from periproj.group import IDENTITY
-from periproj.peripheral import contains
+from periproj.group import IDENTITY, sort_key
+from periproj.peripheral import contains, coset_of
 
 
 def test_dist_hat_example(zxz2, zxz2_hat5):
@@ -157,6 +161,79 @@ def test_extended_infinite_peripheral_rejected():
 
 def test_extended_certified_distance(c2c3_ext, ext_hat8):
     assert ext_hat8.distance(IDENTITY, parse_element(c2c3_ext, "a b")) == 1
+
+
+def _dict_window(spec, radius):
+    """The dict BFS of the window that the level-by-level BFS replaced: the
+    coned-off distances and the predecessor function over them."""
+    gtable = dict(ball(spec, radius).items())
+    members = {}
+    for g in gtable:
+        for i in spec.peripheral_indices:
+            members.setdefault(coset_of(spec, g, i), []).append(g)
+    for lst in members.values():
+        lst.sort(key=lambda p: sort_key(spec, p))
+    moves = [(label, g, inv(spec, g)) for label, g in spec.moves()]
+    hat = {IDENTITY: 0}
+    frontier = deque([IDENTITY])
+    while frontier:
+        v = frontier.popleft()
+        for _, g, _ in moves:
+            u = mul(spec, v, g)
+            if u in gtable and u not in hat:
+                hat[u] = hat[v] + 1
+                frontier.append(u)
+        for i in spec.peripheral_indices:
+            for u in members[coset_of(spec, v, i)]:
+                if u not in hat:
+                    hat[u] = hat[v] + 1
+                    frontier.append(u)
+
+    def predecessors(v, d):
+        out = []
+        for label, _, g_inv in moves:
+            u = mul(spec, v, g_inv)
+            if hat.get(u) == d - 1:
+                out.append((u, (CAY, label)))
+        for i in spec.peripheral_indices:
+            coset = coset_of(spec, v, i)
+            for u in members[coset]:
+                if u != v and hat.get(u) == d - 1:
+                    out.append((u, (CONE, coset)))
+        return out
+
+    return hat, predecessors
+
+
+@pytest.fixture(scope="module")
+def c3c5_ext():
+    # two cone predecessors in one coset whose BFS order differs from their
+    # sort_key order occur here (not in the bundled groups), so this window
+    # pins the cone-edge order of _predecessors
+    factors = [CyclicFactor(3, "a", peripheral=True), CyclicFactor(5, "b", peripheral=True)]
+    aba = parse_element(GroupSpec(factors), "a b a")
+    return GroupSpec(factors, extra_generators=[("w", aba)], name="c3c5-ext")
+
+
+@pytest.mark.parametrize(
+    "group, radius",
+    [("zxz2", 6), ("c2c3", 6), ("c2c3_ext", 8), ("c2c3_ext", 12), ("c3c5_ext", 6)],
+)
+def test_window_matches_dict_bfs(request, group, radius):
+    # coned-off distances and predecessor lists of every window element, and
+    # the geodesics enumerated to every radius-4 target, against the dict BFS
+    spec = request.getfixturevalue(group)
+    hb = ConedOffBackend(spec, radius=radius)
+    hat, predecessors = _dict_window(spec, radius)
+    assert dict(hb.hat_table.items()) == hat
+    for v, d in hat.items():
+        assert hb._predecessors(v, d) == predecessors(v, d)
+    targets = list(ball(spec, 4))
+    got = [_refused_or(hb.enumerate_geodesics, IDENTITY, w, 10_000) for w in targets]
+    hb.hat_table, hb._predecessors = hat, predecessors
+    expected = [_refused_or(hb.enumerate_geodesics, IDENTITY, w, 10_000) for w in targets]
+    assert got == expected
+    assert any(found != "refused" and len(found[0]) > 1 for found in got)
 
 
 def test_path_crossings_records_edges_in_coset(zxz2):

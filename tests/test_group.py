@@ -1,13 +1,18 @@
 """Normal forms, free-product arithmetic, balls, and serialization."""
 
+import gc
 import itertools
 import random
+import weakref
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from periproj import (
     BallBudgetError,
+    BfsBackend,
+    ConedOffBackend,
     CyclicFactor,
     FreeAbelianRank2Factor,
     GroupSpec,
@@ -158,6 +163,71 @@ def test_ball_monotone_and_parent_property(zxz2):
 def test_ball_budget(zxz2):
     with pytest.raises(BallBudgetError):
         ball(zxz2, 6, cap=100)
+
+
+def _dict_ball(spec, radius):
+    """The dict BFS that the indexed ball replaced: element -> distance in
+    BFS order, single-syllable moves before longer words."""
+    dist = {IDENTITY: 0}
+    frontier = deque([IDENTITY])
+    moves = spec.moves()
+    single = [g[0] for _, g in moves if len(g) == 1]
+    words = [g for _, g in moves if len(g) > 1]
+    while frontier:
+        x = frontier.popleft()
+        d = dist[x]
+        if d == radius:
+            continue
+        products = [mul_syllable(spec, x, fi, coord) for fi, coord in single]
+        for y in products + [mul(spec, x, w) for w in words]:
+            if y not in dist:
+                dist[y] = d + 1
+                frontier.append(y)
+    return dist
+
+
+@pytest.mark.parametrize("name, radius", [("zxz2", 5), ("c2c3", 9), ("c2c3_ext", 8)])
+def test_ball_matches_dict_bfs(request, name, radius):
+    # the same elements and distances in the same order; each id's parent
+    # times its parent move is the element, and the neighbour ids (the last
+    # level's after ``complete``) are the ids of the products, -1 outside
+    spec = request.getfixturevalue(name)
+    got = ball(spec, radius)
+    assert list(got.items()) == list(_dict_ball(spec, radius).items())
+    assert got.elements == list(got)
+    moves = [g for _, g in spec.moves()]
+    parent, pmove = got.parent.tolist(), got.pmove.tolist()
+    steps = got.complete()
+    for j, x in enumerate(got.elements):
+        if j:
+            assert mul(spec, got.elements[parent[j]], moves[pmove[j]]) == x
+        assert steps[j].tolist() == [got.id_of(mul(spec, x, g)) for g in moves]
+
+
+def test_backends_share_one_ball(zxz2):
+    # a fresh spec: no other test holds its balls
+    spec = GroupSpec(list(zxz2.factors), name="zxz2")
+    bfs = BfsBackend(spec, 5)
+    hat = ConedOffBackend(spec, radius=5)
+    assert hat.gtable is bfs.table is ball(spec, 5)
+    size = len(bfs.table)
+    assert ball(spec, 5, cap=size) is bfs.table
+    # the shared ball keeps the cap: it fails exactly where a fresh build fails
+    message = rf"^ball\(radius=5\) exceeded cap of {size - 1} elements$"
+    with pytest.raises(BallBudgetError, match=message):
+        ball(spec, 5, cap=size - 1)
+    ref = weakref.ref(bfs.table)
+    del bfs
+    gc.collect()
+    assert ref() is hat.gtable
+    del hat
+    gc.collect()
+    assert ref() is None
+    with pytest.raises(BallBudgetError, match=message):
+        ball(spec, 5, cap=size - 1)
+    assert len(ball(spec, 5, cap=size)) == size
+    with pytest.raises(BallBudgetError, match=r"^ball\(radius=0\) exceeded cap of 0 elements$"):
+        ball(spec, 0, cap=0)
 
 
 def test_identity_serialization(zxz2):

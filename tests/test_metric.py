@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from periproj import (
     ball,
     enumerate_geodesics,
     geodesic_exact,
+    inv,
     mul,
     parse_element,
     quasigeodesic_constants,
@@ -302,6 +304,58 @@ def test_coset_distance_block_matches_scalar(request, name, radius):
     assert (min(map(min, expected)) < 0) == isinstance(backend, BfsBackend)
     assert backend.coset_distance_block([], xs).shape == (0, len(xs))
     assert backend.coset_distance_block(cosets, []).shape == (len(cosets), 0)
+
+
+def _dict_distance_block(backend, xs, ys):
+    """The dict loop that the walk replaced: one product and one lookup of
+    x^-1 y per cell, -1 outside the ball."""
+    spec, table = backend.spec, dict(backend.table.items())
+    out = np.empty((len(xs), len(ys)), dtype=np.int32)
+    for k, x in enumerate(xs):
+        xi = inv(spec, x)
+        out[k] = [table.get(mul(spec, xi, y), -1) for y in ys]
+    return out
+
+
+def _dict_coset_distance_block(backend, cosets, xs):
+    """The dict loop that the coset index replaced: d(x, P) is the distance
+    of the first ball member, in BFS order, of the coset x^-1 P; -1 when the
+    coset misses the ball."""
+    spec, table = backend.spec, dict(backend.table.items())
+    members = {}
+    for g in table:
+        for i in spec.peripheral_indices:
+            members.setdefault(coset_of(spec, g, i), []).append(g)
+    out = np.full((len(cosets), len(xs)), -1, dtype=np.int32)
+    for r, P in enumerate(cosets):
+        for c, x in enumerate(xs):
+            Q = coset_of(spec, mul(spec, inv(spec, x), P.rep), P.factor_index)
+            if Q in members:
+                out[r, c] = table[members[Q][0]]
+    return out
+
+
+@pytest.mark.parametrize("name", ["ext_bfs8", "zxz2_bfs6", "c2c3_bfs10"])
+def test_bfs_blocks_match_dict_loop(request, name):
+    # the walks against the dict loops on an exhaustive ball past half the
+    # radius plus elements outside the ball, where a walk leaves the ball
+    # in cells whose value is still certified
+    backend = request.getfixturevalue(name)
+    spec, table = backend.spec, backend.table
+    outside = [w for w in ball(spec, backend.radius + 1) if w not in table][:25]
+    xs = list(ball(spec, backend.radius // 2 + 1)) + outside
+    starts = [table.id_of(inv(spec, x)) for x in xs]
+
+    expected = _dict_distance_block(backend, xs, xs)
+    assert np.array_equal(backend.distance_block(xs, xs), expected)
+    left = table.walk(starts, [table.id_of(y) for y in xs]) < 0
+    assert (left & (expected >= 0)).any() and (left & (expected < 0)).any()
+
+    cosets = list(dict.fromkeys(coset_of(spec, x, i) for x in xs for i in spec.peripheral_indices))
+    expected = _dict_coset_distance_block(backend, cosets, xs)
+    assert np.array_equal(backend.coset_distance_block(cosets, xs), expected)
+    left = table.walk(starts, [table.id_of(P.rep) for P in cosets]).T < 0
+    assert (left & (expected >= 0)).any() and (left & (expected < 0)).any()
 
 
 def test_exact_distance_block_overflow_raises(zxz2, zxz2_exact):

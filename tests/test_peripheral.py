@@ -6,6 +6,7 @@ import pytest
 
 from periproj import (
     BfsBackend,
+    GroupSpec,
     InvalidFactorError,
     OutOfRangeError,
     UnsupportedMetricError,
@@ -20,7 +21,7 @@ from periproj import (
     projection,
     separating_cosets,
 )
-from periproj import metric
+from periproj import group, metric
 from periproj.group import IDENTITY, mul
 from periproj.peripheral import contains, gate_point, parse_coset
 
@@ -169,26 +170,28 @@ def test_bfs_minimizers_match_shell_scan(request, name):
 
 def test_bfs_coset_index_is_lazy(zxz2, monkeypatch):
     # a backend used only for distances (the oracle's radius-8 table) must
-    # not pay for the coset index; the first coset query builds it once
+    # not pay for the coset index; the first coset query builds it once.  A
+    # fresh spec keeps balls that other tests hold out of the count.
+    spec = GroupSpec(list(zxz2.factors), name="zxz2")
     builds = []
-    real = metric.group_by_coset
+    real = group.FactorCosets
 
-    def counting(spec, elements):
+    def counting(ball, i):
         builds.append(1)
-        return real(spec, elements)
+        return real(ball, i)
 
-    monkeypatch.setattr(metric, "group_by_coset", counting)
-    backend = BfsBackend(zxz2, 4)
-    elems = list(ball(zxz2, 2))
+    monkeypatch.setattr(group, "FactorCosets", counting)
+    backend = BfsBackend(spec, 4)
+    elems = list(ball(spec, 2))
     for x in elems:
         for y in elems:
             backend.distance(x, y)
         backend.geodesic(IDENTITY, x)
     assert len(backend.table) > len(elems)
     assert builds == []
-    P = coset_of(zxz2, parse_element(zxz2, "t"), 1)
-    assert dist_to_coset(zxz2, backend, P, IDENTITY) == 1
-    assert dist_to_coset(zxz2, backend, P, parse_element(zxz2, "t^-1")) == 2
+    P = coset_of(spec, parse_element(spec, "t"), 1)
+    assert dist_to_coset(spec, backend, P, IDENTITY) == 1
+    assert dist_to_coset(spec, backend, P, parse_element(spec, "t^-1")) == 2
     assert builds == [1]
 
 
