@@ -13,6 +13,9 @@ which requires every peripheral factor to be finite in extended mode.  The
 window is the shared indexed ball of its radius (``group.ball``), completed
 with the neighbour ids of its last level; the coned-off BFS runs level by
 level over those ids and each coset's key, expanding each coset once.
+Window geodesics are enumerated by ``metric.dag_paths``, backward from the
+target over each vertex's predecessors; the deterministic window geodesic
+is the first path listed.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .group import (
     mul_syllable,
     sort_key,
 )
-from .metric import VertexPath
-from .peripheral import Coset, coset_of, coset_str, member_coord
+from .metric import VertexPath, dag_paths
+from .peripheral import Coset, coset_member, coset_of, coset_str, member_coord
 
 CAY = "cay"
 CONE = "cone"
@@ -114,12 +117,9 @@ def geodesic_hat(spec: GroupSpec, x: Element, y: Element) -> HatPath:
             cur = mul_syllable(spec, cur, fi, coord)
             vertices.append(cur)
             continue
-        step_label = {g: label for label, g in f.moves()}
-        fpath = f.geodesic(f.identity, coord)
-        for a, b in zip(fpath, fpath[1:]):
-            g = f.mul(f.inv(a), b)
+        for label, g in f.geodesic_moves(f.identity, coord):
             cur = mul_syllable(spec, cur, fi, g)
-            edges.append((CAY, step_label[g]))
+            edges.append((CAY, label))
             vertices.append(cur)
     return HatPath(vertices, edges)
 
@@ -195,9 +195,8 @@ class ConedOffBackend:
         """Certified coned-off distance (exact formula in standard mode)."""
         if self.exact:
             return dist_hat(self.spec, x, y)
-        w = mul(self.spec, inv(self.spec, x), y)
-        d = self.hat_table.get(w)
-        if d is None or d * self._c_edge > self.radius:
+        d = self.window_distance(x, y)
+        if d * self._c_edge > self.radius:
             raise OutOfRangeError("coned-off distance not certified by this window")
         return d
 
@@ -212,28 +211,11 @@ class ConedOffBackend:
         return d
 
     def geodesic(self, x: Element, y: Element) -> HatPath:
+        """The canonical geodesic in standard mode; in extended mode the
+        first geodesic that ``enumerate_geodesics`` lists."""
         if self.exact:
             return geodesic_hat(self.spec, x, y)
-        w = mul(self.spec, inv(self.spec, x), y)
-        self.distance(x, y)  # certification
-        rev = self._walk_back(w)
-        return _translate(self.spec, rev, x)
-
-    def _walk_back(self, w: Element) -> HatPath:
-        """Deterministic geodesic from the identity to w inside the window."""
-        vertices = [w]
-        edges: list = []
-        v = w
-        d = self.hat_table[v]
-        while d > 0:
-            u, edge = self._predecessors(v, d)[0]
-            vertices.append(u)
-            edges.append(edge)
-            v = u
-            d -= 1
-        vertices.reverse()
-        edges.reverse()
-        return HatPath(vertices, edges)
+        return self._geodesics(x, y, 1)[0][0]
 
     def _predecessors(self, v: Element, d: int):
         """(u, edge u->v) pairs over the shortest-path DAG, deterministically:
@@ -270,42 +252,24 @@ class ConedOffBackend:
         form first, so every enumerated path is a true geodesic (geodesics
         leaving the window are not seen; callers report the window radius).
         """
-        if self.gtable is None:
-            raise UnsupportedMetricError("geodesic enumeration needs a window")
+        return self._geodesics(x, y, cap)
+
+    def _geodesics(self, x: Element, y: Element, cap: int) -> tuple[list[HatPath], bool]:
+        """``dag_paths`` backward from x^-1 y over ``_predecessors``, each
+        path reversed and translated by x."""
         spec = self.spec
-        w = mul(spec, inv(spec, x), y)
-        dw = self.hat_table.get(w)
-        if dw is None:
-            raise OutOfRangeError("target outside the window")
         if self.exact:
-            if dw != dist_hat(spec, (), w):
+            d = self.window_distance(x, y)
+            if d != dist_hat(spec, x, y):
                 raise OutOfRangeError("window too small: BFS value exceeds the exact distance")
         else:
-            self.distance(x, y)
-        paths: list[HatPath] = []
-        truncated = False
-
-        def back(v: Element, d: int, vtx: list, edg: list) -> bool:
-            nonlocal truncated
-            if d == 0:
-                vertices = list(reversed(vtx))
-                edges = list(reversed(edg))
-                paths.append(_translate(spec, HatPath(vertices, edges), x))
-                if len(paths) >= cap:
-                    truncated = True
-                    return False
-                return True
-            for u, edge in self._predecessors(v, d):
-                vtx.append(u)
-                edg.append(edge)
-                alive = back(u, d - 1, vtx, edg)
-                vtx.pop()
-                edg.pop()
-                if not alive:
-                    return False
-            return True
-
-        back(w, dw, [w], [])
+            d = self.distance(x, y)
+        w = mul(spec, inv(spec, x), y)
+        found, truncated = dag_paths(w, d, self._predecessors, cap)
+        paths = [
+            _translate(spec, HatPath(vertices[::-1], edges[::-1]), x)
+            for vertices, edges in found
+        ]
         return paths, truncated
 
 
@@ -340,36 +304,23 @@ def lift(spec: GroupSpec, hat_path: HatPath) -> VertexPath:
             continue
         coset = payload
         i = coset.factor_index
-        h1 = member_coord(spec, coset, cur)
-        h2 = member_coord(spec, coset, tail)
-        coords, step_labels = _coset_geodesic(spec, i, h1, h2)
-        for coord, lab in zip(coords[1:], step_labels):
-            f = spec.factors[i]
-            cur = coset.rep if f.is_identity(coord) else mul_syllable(spec, coset.rep, i, coord)
+        h = member_coord(spec, coset, cur)
+        for lab, g in _coset_geodesic(spec, i, h, member_coord(spec, coset, tail)):
+            h = spec.factors[i].mul(h, g)
+            cur = coset_member(spec, coset, h)
             vertices.append(cur)
             labels.append(lab)
     return VertexPath(vertices, labels)
 
 
-def _in_factor_extras(spec: GroupSpec, i: int) -> list[tuple[str, object]]:
-    out = []
-    for name, elem in spec.extra_generators:
-        if len(elem) == 1 and elem[0][0] == i:
-            out.append((name, elem[0][1]))
-    return out
-
-
 def _coset_geodesic(spec: GroupSpec, i: int, h1, h2):
-    """Coordinate path h1 -> h2 inside factor i, with edge labels."""
+    """The (label, move) steps of a geodesic h1 -> h2 inside factor i."""
     f = spec.factors[i]
-    extras = _in_factor_extras(spec, i)
+    extras = [
+        (name, w[0][1]) for name, w in spec.extra_generators if len(w) == 1 and w[0][0] == i
+    ]
     if not extras:
-        fpath = f.geodesic(h1, h2)
-        step_label = {g: label for label, g in f.moves()}
-        labels = [
-            step_label[f.mul(f.inv(a), b)] for a, b in zip(fpath, fpath[1:])
-        ]
-        return fpath, labels
+        return f.geodesic_moves(h1, h2)
     moves = list(f.moves())
     for name, g in extras:
         for lab, coord in ((name, g), (name + "^-1", f.inv(g))):
@@ -389,20 +340,16 @@ def _coset_geodesic(spec: GroupSpec, i: int, h1, h2):
             if nxt not in prev:
                 if len(prev) >= budget:
                     raise OutOfRangeError("in-coset geodesic search exceeded its budget")
-                prev[nxt] = (cur, lab)
+                prev[nxt] = (cur, (lab, g))
                 frontier.append(nxt)
     if goal not in prev:
         raise OutOfRangeError("in-coset geodesic not found within budget")
-    coords = [goal]
-    labels = []
+    steps = []
     cur = goal
     while prev[cur] is not None:
-        cur, lab = prev[cur]
-        coords.append(cur)
-        labels.append(lab)
-    coords.reverse()
-    labels.reverse()
-    return coords, labels
+        cur, step = prev[cur]
+        steps.append(step)
+    return steps[::-1]
 
 
 def path_crossings(spec: GroupSpec, path: HatPath) -> dict:

@@ -81,10 +81,6 @@ class Factor:
         """Max word length over the factor, or None when infinite."""
         raise NotImplementedError
 
-    def coord_key(self, x):
-        """Total-order key used for deterministic tie-breaking."""
-        return x
-
     def random_coord(self, rng, max_exponent: int):
         """A seeded nontrivial coordinate, exponents bounded by ``max_exponent``."""
         raise NotImplementedError
@@ -93,8 +89,9 @@ class Factor:
         """A seeded nontrivial coordinate of word length <= ``max_len``."""
         return self.random_coord(rng, max_len)
 
-    def geodesic(self, x, y) -> list:
-        """Vertex path from ``x`` to ``y`` of length ``length(inv(x)*y)``.
+    def geodesic_moves(self, x, y) -> list[tuple[str, object]]:
+        """The (label, move) steps of a geodesic from ``x`` to ``y``, of
+        length ``length(inv(x)*y)``.
 
         Greedy: at each step take the first move (in ``moves`` order) that
         decreases the remaining distance, so ties resolve to the earliest
@@ -102,25 +99,44 @@ class Factor:
         """
         self.check_coord(x)
         self.check_coord(y)
-        path = [x]
+        steps = []
         cur = x
         moves = self.moves()
         remaining = self.length(self.mul(self.inv(cur), y))
         while remaining > 0:
-            for _, g in moves:
+            for label, g in moves:
                 nxt = self.mul(cur, g)
                 if self.length(self.mul(self.inv(nxt), y)) == remaining - 1:
-                    cur = nxt
                     break
             else:  # pragma: no cover - moves generate the factor
                 raise InvalidFactorError("no distance-decreasing move; generators do not generate")
-            path.append(cur)
+            steps.append((label, g))
+            cur = nxt
             remaining -= 1
+        return steps
+
+    def geodesic(self, x, y) -> list:
+        """Vertex path from ``x`` to ``y`` along ``geodesic_moves``."""
+        path = [x]
+        for _, g in self.geodesic_moves(x, y):
+            path.append(self.mul(path[-1], g))
         return path
 
     def syllable_tokens(self, x) -> list[str]:
         """Serialized tokens for a (nontrivial) syllable carried by ``x``."""
         raise NotImplementedError
+
+    def _key(self) -> tuple:
+        """What identifies a factor of this kind beyond labels and flag."""
+        return ()
+
+    def __eq__(self, other):
+        return isinstance(other, Factor) and (
+            self.kind, self.labels, self.peripheral, self._key()
+        ) == (other.kind, other.labels, other.peripheral, other._key())
+
+    def __hash__(self):
+        return hash((self.kind, self.labels, self.peripheral, self._key()))
 
     def __repr__(self) -> str:
         flag = ", peripheral" if self.peripheral else ""
@@ -169,14 +185,8 @@ class CyclicFactor(Factor):
     def syllable_tokens(self, x) -> list[str]:
         return [f"{self.labels[0]}^{x}"]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclicFactor)
-            and (self.n, self.labels, self.peripheral) == (other.n, other.labels, other.peripheral)
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.n, self.labels, self.peripheral))
+    def _key(self) -> tuple:
+        return (self.n,)
 
 
 class InfiniteCyclicFactor(Factor):
@@ -220,15 +230,6 @@ class InfiniteCyclicFactor(Factor):
 
     def syllable_tokens(self, x) -> list[str]:
         return [f"{self.labels[0]}^{x}"]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InfiniteCyclicFactor)
-            and (self.labels, self.peripheral) == (other.labels, other.peripheral)
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.labels, self.peripheral))
 
 
 class FreeAbelianRank2Factor(Factor):
@@ -305,15 +306,6 @@ class FreeAbelianRank2Factor(Factor):
         if x[1]:
             toks.append(f"{self.labels[1]}^{x[1]}")
         return toks
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeAbelianRank2Factor)
-            and (self.labels, self.peripheral) == (other.labels, other.peripheral)
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.labels, self.peripheral))
 
 
 class TableFactor(Factor):
@@ -424,15 +416,8 @@ class TableFactor(Factor):
     def syllable_tokens(self, x) -> list[str]:
         return [f"{self.labels[0]}[{x}]"]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TableFactor)
-            and (self.table, self.labels, tuple(sorted(self._gen_index.items())), self.peripheral)
-            == (other.table, other.labels, tuple(sorted(other._gen_index.items())), other.peripheral)
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.table, self.labels, self.peripheral))
+    def _key(self) -> tuple:
+        return (self.table, tuple(sorted(self._gen_index.items())))
 
 
 def _check_label(label: str) -> None:

@@ -38,6 +38,10 @@ nearest ball member of the coset of x^-1 rep.  A cell whose walk leaves the
 ball falls back to the scalar path.  The scalar ``distance``,
 ``coset_distance`` and ``project`` are the reference every block is tested
 against.
+
+``dag_paths`` is the one depth-first enumerator of a shortest-path DAG.
+``enumerate_geodesics`` walks it forward in the Cayley graph, and the
+coned-off window (``conedoff.ConedOffBackend``) backward from its target.
 """
 
 from __future__ import annotations
@@ -87,16 +91,11 @@ def geodesic_exact(spec: GroupSpec, x: Element, y: Element) -> VertexPath:
     w = mul(spec, inv(spec, x), y)
     vertices = [x]
     labels: list[str] = []
-    cur = x
     for fi, coord in w:
         f = spec.factors[fi]
-        step_label = {g: label for label, g in f.moves()}
-        fpath = f.geodesic(f.identity, coord)
-        for a, b in zip(fpath, fpath[1:]):
-            g = f.mul(f.inv(a), b)
-            cur = mul_syllable(spec, cur, fi, g)
-            vertices.append(cur)
-            labels.append(step_label[g])
+        for label, g in f.geodesic_moves(f.identity, coord):
+            vertices.append(mul_syllable(spec, vertices[-1], fi, g))
+            labels.append(label)
     return VertexPath(vertices, labels)
 
 
@@ -485,27 +484,45 @@ def quasigeodesic_constants(path: VertexPath, backend) -> tuple[int, int]:
     return (1, int((j - i - dij).max(initial=0)))
 
 
+def dag_paths(start, depth: int, steps, cap: int) -> tuple[list, bool]:
+    """The (vertices, edges) of each path of ``depth`` edges from ``start``
+    through a shortest-path DAG, depth first, up to ``cap`` paths, and a flag
+    marking whether the cap cut the enumeration short.  ``steps(v,
+    remaining)`` yields v's (next vertex, edge) pairs in order, lazily if it
+    likes: a walk cut by the cap asks for no more steps than it takes."""
+    paths: list = []
+    vertices, edges = [start], []
+
+    def extend(v, remaining: int) -> bool:
+        if remaining == 0:
+            paths.append((list(vertices), list(edges)))
+            return len(paths) < cap
+        for u, edge in steps(v, remaining):
+            vertices.append(u)
+            edges.append(edge)
+            alive = extend(u, remaining - 1)
+            vertices.pop()
+            edges.pop()
+            if not alive:
+                return False
+        return True
+
+    truncated = not extend(start, depth)
+    return paths, truncated
+
+
 def enumerate_geodesics(backend, x: Element, y: Element, cap: int) -> tuple[list[VertexPath], bool]:
     """All geodesics from x to y in deterministic order, up to ``cap`` paths.
 
-    Walks the shortest-path DAG forward: from each vertex, every move that
-    decreases the remaining distance spawns a branch.  Returns the paths and
-    a flag marking whether the cap cut the enumeration short.
+    Walks the shortest-path DAG forward (``dag_paths``): from each vertex,
+    every move that decreases the remaining distance to y spawns a branch.
+    Returns the paths and a flag marking whether the cap cut the enumeration
+    short.
     """
     spec = backend.spec
-    total = backend.distance(x, y)
-    moves = [(label, g) for label, g in spec.moves()]
-    paths: list[VertexPath] = []
-    truncated = False
+    moves = spec.moves()
 
-    def extend(cur: Element, remaining: int, vertices: list, labels: list) -> bool:
-        nonlocal truncated
-        if remaining == 0:
-            paths.append(VertexPath(list(vertices), list(labels)))
-            if len(paths) >= cap:
-                truncated = True
-                return False
-            return True
+    def steps(cur: Element, remaining: int):
         for label, g in moves:
             nxt = mul(spec, cur, g)
             try:
@@ -513,14 +530,7 @@ def enumerate_geodesics(backend, x: Element, y: Element, cap: int) -> tuple[list
             except OutOfRangeError:
                 continue
             if d == remaining - 1:
-                vertices.append(nxt)
-                labels.append(label)
-                alive = extend(nxt, remaining - 1, vertices, labels)
-                vertices.pop()
-                labels.pop()
-                if not alive:
-                    return False
-        return True
+                yield nxt, label
 
-    extend(x, total, [x], [])
-    return paths, truncated
+    found, truncated = dag_paths(x, backend.distance(x, y), steps, cap)
+    return [VertexPath(v, labels) for v, labels in found], truncated

@@ -27,10 +27,11 @@ from ..errors import OutOfRangeError
 from ..group import GroupSpec, ball, element_str
 from ..metric import enumerate_geodesics
 from ..peripheral import (
-    contains,
     coset_str,
     cosets_meeting_ball,
     dist_to_coset,
+    proj_conedoff,
+    proj_entrypoint,
     projection,
 )
 from .sampling import SamplePlan
@@ -79,7 +80,7 @@ def estimate_dstg_constants(
     t_by_l = _measure_t(spec, backend, cosets, xs, dcos, plan, witnesses, examined)
     sigma_by_d = _measure_sigma(spec, backend, cosets, xs, dcos, plan, witnesses, examined)
     entry_by_d, hat_entry = _measure_entry(
-        spec, backend, hat_backend, xs, cosets, radius, witnesses, examined
+        spec, backend, hat_backend, xs, cosets, witnesses, examined
     )
 
     return DstgConstants(
@@ -221,7 +222,7 @@ def _measure_sigma(spec, backend, cosets, xs, dcos, plan, witnesses, examined) -
     return sigma_by_d
 
 
-def _measure_entry(spec, backend, hat_backend, xs, cosets, radius, witnesses, examined):
+def _measure_entry(spec, backend, hat_backend, xs, cosets, witnesses, examined):
     entry_by_d = {}
     hat_entry = 0
     for depth in (0, 1):
@@ -230,12 +231,7 @@ def _measure_entry(spec, backend, hat_backend, xs, cosets, radius, witnesses, ex
             for x in xs:
                 try:
                     pix = projection(spec, backend, P, x)
-                    path = backend.geodesic(x, P.rep)
-                    entry = next(
-                        v
-                        for v in path.vertices
-                        if dist_to_coset(spec, backend, P, v) <= depth
-                    )
+                    entry = proj_entrypoint(spec, backend, P, x, P.rep, depth).point
                     d = backend.distance(entry, pix)
                 except OutOfRangeError:
                     continue
@@ -248,8 +244,7 @@ def _measure_entry(spec, backend, hat_backend, xs, cosets, radius, witnesses, ex
                     }
                 if depth == 0 and hat_backend is not None:
                     try:
-                        hp = hat_backend.geodesic(x, P.rep)
-                        first = next(v for v in hp.vertices if contains(spec, P, v))
+                        first = proj_conedoff(spec, hat_backend, P, x).point
                         hd = backend.distance(first, pix)
                     except OutOfRangeError:
                         continue

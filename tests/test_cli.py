@@ -174,6 +174,38 @@ def test_ball_budget_exit_three(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 3
 
 
+def test_ball_cap_bounds_sample_balls(tmp_path, capsys):
+    # the backend balls fit the cap, but the suites' sample ball(4), 609
+    # elements, does not
+    cfg = tmp_path / "zxz2-cap.cfg"
+    cfg.write_text(
+        "[group]\n"
+        "factors =\n    z t\n    z2 u v\n"
+        "peripheral = 1\n"
+        "[backend]\nmode = exact\nradius = 2\nhat_radius = 2\nball_cap = 100\n"
+        "[run]\nsuites = ap\nsample_radius = 4\n"
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 3
+    assert capsys.readouterr().err == (
+        "resource budget exceeded: ball(radius=4) exceeded cap of 100 elements\n"
+    )
+    assert not (tmp_path / "rep").exists()
+
+
+def test_most_configurations_skipped_exit_three(tmp_path, capsys):
+    # at radius 3 the BFS backend certifies too few of the ap suite's pairs
+    out = tmp_path / "rep"
+    code = main(
+        ["run", "--config", config_path("c2c3-ext.cfg"), "--radius", "3", "--suite", "ap",
+         "--out", str(out)]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "certification budget exceeded: 40438 of 67874 configurations skipped\n"
+    )
+    assert "census: examined=27436 skipped=40438" in (out / "summary.txt").read_text()
+
+
 def test_coned_off_suites_need_peripheral(tmp_path):
     cfg = tmp_path / "noperi.cfg"
     cfg.write_text(

@@ -27,7 +27,7 @@ from periproj import (
     quasigeodesic_constants,
     random_element,
 )
-from periproj.conedoff import CAY, CONE, hat_edge_str, path_crossings
+from periproj.conedoff import CAY, CONE, HatPath, _translate, hat_edge_str, path_crossings
 from periproj.group import IDENTITY, sort_key
 from periproj.peripheral import contains, coset_of
 
@@ -116,6 +116,23 @@ def test_lifts_are_geodesics_exact(zxz2, zxz2_exact):
         y = random_element(zxz2, rng, 4, 5)
         lifted = lift(zxz2, geodesic_hat(zxz2, x, y))
         assert quasigeodesic_constants(lifted, zxz2_exact) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "k, labels",
+    [(1, ["b"]), (2, ["b", "b"]), (3, ["w"]), (4, ["w^-1"]), (5, ["b", "w^-1"]), (6, ["b^-1"])],
+)
+def test_lift_uses_in_factor_extra_generators(k, labels):
+    # a cone edge in a factor that holds an extra generator (w = b^3) lifts
+    # to a geodesic of the coset graph over b and w, found by the in-coset BFS
+    factors = [CyclicFactor(7, "b", peripheral=True), CyclicFactor(2, "a", peripheral=True)]
+    spec = GroupSpec(factors, extra_generators=[("w", parse_element(GroupSpec(factors), "b^3"))])
+    x = parse_element(spec, "a")
+    y = parse_element(spec, f"a b^{k}")
+    lifted = lift(spec, HatPath([x, y], [(CONE, coset_of(spec, x, 0))]))
+    assert lifted.labels == labels
+    assert lifted.start == x and lifted.end == y
+    assert all(contains(spec, coset_of(spec, x, 0), v) for v in lifted.vertices)
 
 
 def test_enumerate_geodesics_deterministic(zxz2, zxz2_hat5):
@@ -234,6 +251,41 @@ def test_window_matches_dict_bfs(request, group, radius):
     expected = [_refused_or(hb.enumerate_geodesics, IDENTITY, w, 10_000) for w in targets]
     assert got == expected
     assert any(found != "refused" and len(found[0]) > 1 for found in got)
+
+
+def _walk_back(hb, x, y):
+    """The first-path loop that extended-mode ``geodesic`` ran before it
+    read the first enumerated geodesic: certified by ``distance`` first,
+    then the first predecessor at each level from x^-1 y down to the
+    identity, reversed and translated by x."""
+    spec = hb.spec
+    hb.distance(x, y)
+    v = mul(spec, inv(spec, x), y)
+    vertices, edges = [v], []
+    d = hb.hat_table[v]
+    while d > 0:
+        v, edge = hb._predecessors(v, d)[0]
+        vertices.append(v)
+        edges.append(edge)
+        d -= 1
+    return _translate(spec, HatPath(vertices[::-1], edges[::-1]), x)
+
+
+@pytest.mark.parametrize(
+    "group, radius", [("c2c3_ext", 8), ("c2c3_ext", 12), ("c3c5_ext", 6)]
+)
+def test_window_geodesic_matches_walk_back(request, group, radius):
+    # the windowed geodesic, the first enumerated path, is the walk along
+    # first predecessors, and both refuse the same targets
+    spec = request.getfixturevalue(group)
+    hb = ConedOffBackend(spec, radius=radius)
+    got = []
+    for x in (IDENTITY, parse_element(spec, "a b")):
+        for w in ball(spec, 4):
+            y = mul(spec, x, w)
+            got.append(_refused_or(hb.geodesic, x, y))
+            assert got[-1] == _refused_or(_walk_back, hb, x, y)
+    assert any(path != "refused" and len(path) > 1 for path in got)
 
 
 def test_path_crossings_records_edges_in_coset(zxz2):

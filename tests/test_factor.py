@@ -188,3 +188,57 @@ def test_bad_labels_rejected():
         InfiniteCyclicFactor("2t")
     with pytest.raises(InvalidFactorError):
         FreeAbelianRank2Factor("u", "u")
+
+
+S3, _, S3_INDEX = s3_table()
+S3_GENS = {"s": S3_INDEX[(1, 0, 2)], "r": S3_INDEX[(1, 2, 0)]}
+C6 = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+
+
+@pytest.mark.parametrize(
+    "make, variants",
+    [
+        (lambda: CyclicFactor(5, "c"),
+         [CyclicFactor(5, "d"), CyclicFactor(6, "c"), CyclicFactor(5, "c", peripheral=True)]),
+        (lambda: InfiniteCyclicFactor("t"),
+         [InfiniteCyclicFactor("s"), InfiniteCyclicFactor("t", peripheral=True)]),
+        (lambda: FreeAbelianRank2Factor("u", "v"),
+         [FreeAbelianRank2Factor("u", "w"), FreeAbelianRank2Factor("v", "u"),
+          FreeAbelianRank2Factor("u", "v", peripheral=True)]),
+        (lambda: TableFactor(S3, S3_GENS),
+         [TableFactor(S3, {"x": S3_GENS["s"], "r": S3_GENS["r"]}),
+          TableFactor(S3, {"r": S3_GENS["r"], "s": S3_GENS["s"]}),
+          TableFactor(S3, {"s": S3_GENS["r"], "r": S3_GENS["s"]}),
+          TableFactor(C6, S3_GENS), TableFactor(S3, S3_GENS, peripheral=True)]),
+    ],
+    ids=["cyclic", "z", "z2", "s3"],
+)
+def test_factor_equality_and_hash(make, variants):
+    f, g = make(), make()
+    assert f == g and hash(f) == hash(g)
+    for other in variants:
+        assert f != other and other != f
+
+
+def test_factors_of_different_kinds_unequal():
+    c2 = CyclicFactor(2, "a")
+    table = TableFactor([[0, 1], [1, 0]], {"a": 1})
+    assert c2 != table and table != c2
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [CyclicFactor(5, "c"), InfiniteCyclicFactor("t"), FreeAbelianRank2Factor("u", "v"),
+     TableFactor(S3, S3_GENS)],
+    ids=["cyclic5", "z", "z2", "s3"],
+)
+def test_geodesic_moves_labels_match_steps(factor):
+    # each step's label is the label of the move between consecutive
+    # vertices of ``geodesic``
+    step_label = {g: label for label, g in factor.moves()}
+    pts = [x for level in range(5) for x in factor.elements_of_length(level)]
+    for x in pts:
+        for y in pts:
+            path = factor.geodesic(x, y)
+            expected = [step_label[factor.mul(factor.inv(a), b)] for a, b in zip(path, path[1:])]
+            assert [label for label, _ in factor.geodesic_moves(x, y)] == expected

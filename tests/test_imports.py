@@ -1,4 +1,5 @@
-"""Source hygiene: no module under src/periproj imports a name it never uses."""
+"""Source hygiene: no module under src/periproj imports a name it never
+uses, and no private definition there is left without a reference."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,24 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_unreferenced_private_definitions():
+    # a private function, method or class whose last caller is gone
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if _is_private(node.name):
+                    defined[node.name] = f"{path.relative_to(SRC)}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert defined
+    assert [f"{name} ({where})" for name, where in defined.items() if name not in referenced] == []
