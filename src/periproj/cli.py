@@ -29,7 +29,7 @@ from .errors import (
     PeriprojError,
     TheoremViolationError,
 )
-from .factor import CyclicFactor, FreeAbelianRank2Factor, InfiniteCyclicFactor, TableFactor
+from .factor import KINDS
 from .group import GroupSpec, ball, parse_element
 from .metric import BfsBackend, ExactBackend, quasigeodesic_constants
 from .conedoff import ConedOffBackend, check_bcp, dist_hat, lift
@@ -103,34 +103,13 @@ def _parse_factors(lines: str):
         parts = raw.split()
         if not parts:
             continue
-        kind = parts[0]
-        if kind == "cyclic":
-            if len(parts) != 3:
-                raise ConfigError(f"cyclic factor needs: cyclic <n> <label> ({raw!r})")
-            factors.append(CyclicFactor(int(parts[1]), parts[2]))
-        elif kind == "z":
-            if len(parts) != 2:
-                raise ConfigError(f"z factor needs: z <label> ({raw!r})")
-            factors.append(InfiniteCyclicFactor(parts[1]))
-        elif kind == "z2":
-            if len(parts) != 3:
-                raise ConfigError(f"z2 factor needs: z2 <label1> <label2> ({raw!r})")
-            factors.append(FreeAbelianRank2Factor(parts[1], parts[2]))
-        elif kind == "table":
-            if len(parts) != 2:
-                raise ConfigError(f"table factor needs: table <json-path> ({raw!r})")
-            factors.append(_load_table(parts[1]))
-        else:
-            raise ConfigError(f"unknown factor kind: {kind!r}")
+        cls = KINDS.get(parts[0])
+        if cls is None:
+            raise ConfigError(f"unknown factor kind: {parts[0]!r}")
+        if len(parts) != len(cls.syntax.split()) + 1:
+            raise ConfigError(f"{cls.kind} factor needs: {cls.kind} {cls.syntax} ({raw!r})")
+        factors.append(cls.from_tokens(*parts[1:]))
     return factors
-
-
-def _load_table(path: str) -> TableFactor:
-    try:
-        data = json.loads(Path(path).read_text())
-        return TableFactor(data["table"], {str(k): int(v) for k, v in data["generators"].items()})
-    except (OSError, KeyError, ValueError) as exc:
-        raise ConfigError(f"bad table factor file {path!r}: {exc}") from exc
 
 
 def parse_config(path: str | Path) -> RunConfig:

@@ -2,8 +2,9 @@
 
 Each factor is one of four kinds: finite cyclic, infinite cyclic, free abelian
 of rank 2, or an explicit finite multiplication table.  A factor owns its
-generator labels and a peripheral flag; everything above (free-product
-elements, metrics, cosets) talks to factors only through this interface.
+labels, peripheral flag and config line (``kind``, ``syntax``, ``from_tokens``);
+everything above (free-product elements, metrics, cosets) talks to factors
+only through this interface.
 
 Coordinates are kind-specific plain values: a residue in [0, n) for cyclic,
 an int for infinite cyclic, an (int, int) pair for rank-2 free abelian, and a
@@ -13,14 +14,11 @@ identity is representable here but is never stored inside a syllable.
 
 from __future__ import annotations
 
+import json
 from collections import deque
+from pathlib import Path
 
-from .errors import InvalidFactorError
-
-CYCLIC = "cyclic"
-INF_CYCLIC = "z"
-FREE_ABELIAN_2 = "z2"
-TABLE = "table"
+from .errors import ConfigError, InvalidFactorError, NormalFormError
 
 
 class Factor:
@@ -33,10 +31,16 @@ class Factor:
     tie-breaking deterministic.
     """
 
-    kind: str
+    kind: str  # the keyword of a config factor line
+    syntax: str  # the tokens that follow it
     labels: tuple[str, ...]
     peripheral: bool
     identity = None  # overridden per kind
+
+    @classmethod
+    def from_tokens(cls, *tokens: str) -> "Factor":
+        """The factor of a config line ``<kind> <syntax>``."""
+        return cls(*tokens)
 
     def is_identity(self, x) -> bool:
         return x == self.identity
@@ -126,6 +130,11 @@ class Factor:
         """Serialized tokens for a (nontrivial) syllable carried by ``x``."""
         raise NotImplementedError
 
+    def index_coord(self, token: str, index: str):
+        """The coordinate of a bracket token ``label[index]``, which only
+        table factors write."""
+        raise NormalFormError(f"bracket token for a {self.kind} factor: {token!r}")
+
     def _key(self) -> tuple:
         """What identifies a factor of this kind beyond labels and flag."""
         return ()
@@ -146,7 +155,8 @@ class Factor:
 class CyclicFactor(Factor):
     """Cyclic group of order n >= 2 with a single generator."""
 
-    kind = CYCLIC
+    kind = "cyclic"
+    syntax = "<n> <label>"
     identity = 0
 
     def __init__(self, n: int, label: str, peripheral: bool = False):
@@ -156,6 +166,10 @@ class CyclicFactor(Factor):
         self.n = n
         self.labels = (label,)
         self.peripheral = bool(peripheral)
+
+    @classmethod
+    def from_tokens(cls, n: str, label: str) -> "CyclicFactor":
+        return cls(int(n), label)
 
     def check_coord(self, x) -> None:
         if not isinstance(x, int) or not 0 <= x < self.n:
@@ -192,7 +206,8 @@ class CyclicFactor(Factor):
 class InfiniteCyclicFactor(Factor):
     """Infinite cyclic group with a single generator."""
 
-    kind = INF_CYCLIC
+    kind = "z"
+    syntax = "<label>"
     identity = 0
 
     def __init__(self, label: str, peripheral: bool = False):
@@ -235,7 +250,8 @@ class InfiniteCyclicFactor(Factor):
 class FreeAbelianRank2Factor(Factor):
     """Free abelian group of rank 2; coordinates are integer pairs."""
 
-    kind = FREE_ABELIAN_2
+    kind = "z2"
+    syntax = "<label1> <label2>"
     identity = (0, 0)
 
     def __init__(self, label1: str, label2: str, peripheral: bool = False):
@@ -316,7 +332,8 @@ class TableFactor(Factor):
     inverses, and that the labelled generators reach every element.
     """
 
-    kind = TABLE
+    kind = "table"
+    syntax = "<json-path>"
 
     def __init__(self, table, generators: dict[str, int], peripheral: bool = False):
         tbl = tuple(tuple(row) for row in table)
@@ -344,6 +361,15 @@ class TableFactor(Factor):
         self._length = self._bfs_lengths()
         if any(l is None for l in self._length):
             raise InvalidFactorError("generator labels do not generate the table group")
+
+    @classmethod
+    def from_tokens(cls, path: str) -> "TableFactor":
+        """The factor of a JSON file {"table": rows, "generators": {label: index}}."""
+        try:
+            data = json.loads(Path(path).read_text())
+            return cls(data["table"], {str(k): int(v) for k, v in data["generators"].items()})
+        except (OSError, KeyError, ValueError) as exc:
+            raise ConfigError(f"bad table factor file {path!r}: {exc}") from exc
 
     def _find_identity(self) -> int:
         for e in range(self.n):
@@ -416,6 +442,11 @@ class TableFactor(Factor):
     def syllable_tokens(self, x) -> list[str]:
         return [f"{self.labels[0]}[{x}]"]
 
+    def index_coord(self, token: str, index: str):
+        idx = int(index)
+        self.check_coord(idx)
+        return idx
+
     def _key(self) -> tuple:
         return (self.table, tuple(sorted(self._gen_index.items())))
 
@@ -423,3 +454,7 @@ class TableFactor(Factor):
 def _check_label(label: str) -> None:
     if not label or not label[0].isalpha() or not label.replace("_", "").isalnum():
         raise InvalidFactorError(f"invalid generator label: {label!r}")
+
+
+# the factor classes by config keyword
+KINDS = {f.kind: f for f in Factor.__subclasses__()}

@@ -475,10 +475,7 @@ def _parse_token(spec: GroupSpec, token: str, label_map) -> Syllable:
         if label not in label_map or not rest.endswith("]"):
             raise NormalFormError(f"bad table token: {token!r}")
         fi, _ = label_map[label]
-        f = spec.factors[fi]
-        idx = int(rest[:-1])
-        f.check_coord(idx)
-        return (fi, idx)
+        return (fi, spec.factors[fi].index_coord(token, rest[:-1]))
     label, _, exp_text = token.partition("^")
     if label not in label_map:
         raise NormalFormError(f"unknown generator label: {token!r}")
@@ -514,6 +511,14 @@ def random_element(
     min_syllables: int = 0,
 ) -> Element:
     """Seeded random normal form with bounded syllable count and coordinates."""
+    return random_normal_form(
+        spec, rng, min_syllables, max_syllables, lambda f: f.random_coord(rng, max_exponent)
+    )
+
+
+def random_normal_form(spec: GroupSpec, rng, min_syllables, max_syllables, draw) -> Element:
+    """Seeded random normal form of ``min_syllables`` to ``max_syllables``
+    syllables, adjacent ones from distinct factors, coordinates ``draw(factor)``."""
     k = rng.randint(min_syllables, max_syllables)
     syls: list[Syllable] = []
     prev = -1
@@ -522,6 +527,6 @@ def random_element(
         fi = rng.randrange(nfac)
         if fi == prev:
             fi = (fi + 1 + rng.randrange(nfac - 1)) % nfac
-        syls.append((fi, spec.factors[fi].random_coord(rng, max_exponent)))
+        syls.append((fi, draw(spec.factors[fi])))
         prev = fi
     return tuple(syls)

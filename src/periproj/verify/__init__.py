@@ -8,23 +8,4 @@ from .formula import FitRow, FormulaEval, distance_formula, fit_formula_constant
 from .sampling import SamplePlan, random_element_by_length, seeded_pairs
 from .thinness import ThinnessReport, ThinnessRow, thinness_scan, triangle_sample
 
-__all__ = [
-    "ApReport",
-    "check_ap_axioms",
-    "BatteryReport",
-    "BatteryRow",
-    "lemma_battery",
-    "DstgConstants",
-    "estimate_dstg_constants",
-    "FitRow",
-    "FormulaEval",
-    "distance_formula",
-    "fit_formula_constants",
-    "SamplePlan",
-    "random_element_by_length",
-    "seeded_pairs",
-    "ThinnessReport",
-    "ThinnessRow",
-    "thinness_scan",
-    "triangle_sample",
-]
+__all__ = [name for name in dir() if not name.startswith("_")]

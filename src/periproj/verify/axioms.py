@@ -20,26 +20,21 @@ witnesses; uncertifiable configurations are skipped and counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import OutOfRangeError
 from ..group import GroupSpec, ball, element_str
 from ..peripheral import coset_str, cosets_meeting_ball
 
 
 @dataclass
 class ApReport:
-    group: str
-    sample_radius: int
-    coset_radius: int
     constants: dict
     ap3_image_max: int
     witnesses: dict
     examined: dict
     skipped: int
-    equivalence: dict = field(default_factory=dict)
 
     @property
     def projection_constant(self) -> int:
@@ -47,6 +42,21 @@ class ApReport:
         return max(
             self.constants[k] for k in ("ap1", "ap2", "ap1p", "ap2p")
         )
+
+    @property
+    def equivalence(self) -> dict:
+        """How the measured unprimed and primed constants bound each other
+        (the two implications are theorems; the arithmetic is recorded, not
+        asserted, because the implied witnesses may fall outside the sample)."""
+        c = self.constants
+        cp = max(c["ap1p"], c["ap2p"])
+        cu = max(c["ap1"], c["ap2"])
+        return {
+            "ap1_le_2cp+1": (c["ap1"], 2 * cp + 1, c["ap1"] <= 2 * cp + 1),
+            "ap2_le_4cp+2": (c["ap2"], 4 * cp + 2, c["ap2"] <= 4 * cp + 2),
+            "ap1p_le_ap1": (c["ap1p"], c["ap1"], c["ap1p"] <= c["ap1"]),
+            "ap2p_le_40cu+1": (c["ap2p"], 40 * cu + 1, c["ap2p"] <= 40 * cu + 1),
+        }
 
 
 def projection_ids(backend, points):
@@ -71,7 +81,11 @@ def check_ap_axioms(
 ) -> ApReport:
     """Every axiom over the sample ball and the cosets meeting the coset
     ball.  The distances come from one block per kind and pass: sample
-    pairs, sample to projection points, and sample to coset points."""
+    pairs, sample to projection points, sample to coset points, and cosets
+    to sample.  ap1p needs the true minimum d(x, P), which the coset block
+    is: the explicit scan of P minimizes base + len_f(h^-1 h0) at h = h0,
+    the closed form base = |rep^-1 x| - len(h0) of exact mode, and in BFS
+    mode both read the nearest ball member of the coset x^-1 P."""
     xs = list(ball(spec, sample_radius))
     cosets = cosets_meeting_ball(spec, ball(spec, coset_radius))
     n = len(xs)
@@ -91,33 +105,20 @@ def check_ap_axioms(
     d_xpi, pi_col = _distinct_columns(
         backend, xs, (p for pts in projections.values() for p in pts if p is not None)
     )
+    # a row without a projection reads the padding column -1
+    d_xpi = np.pad(d_xpi, ((0, 0), (0, 1)), constant_values=-1)
     d_xp, p_col = _distinct_columns(
         backend, xs, (p for pts in points.values() for p in pts)
     )
 
-    for P, p_points in points.items():
-        proj_pts = projections[P]
-        skipped += proj_pts.count(None)
-
-        # certified d(x, P) and d(x, pi(x))
-        dP = np.full(n, -1, dtype=np.int32)
-        dxpi = np.full(n, -1, dtype=np.int32)
-        for i, x in enumerate(xs):
-            if proj_pts[i] is None:
-                continue
-            try:
-                # explicit minimization, never the gate formula: ap1p
-                # compares d(x, pi(x)) against this value
-                dP[i] = backend.coset_minimizers(P, x)[0]
-            except OutOfRangeError:
-                proj_pts[i] = None
-                skipped += 1
-                continue
-            dxpi[i] = d_xpi[i, pi_col[proj_pts[i]]]
-            if dxpi[i] < 0:
-                proj_pts[i] = None
-                skipped += 1
-
+    dP_block = backend.coset_distance_block(list(points), xs)
+    for (P, p_points), dP in zip(points.items(), dP_block):
+        cols = [-1 if p is None else pi_col[p] for p in projections[P]]
+        dxpi = d_xpi[np.arange(n), cols]
+        # a row keeps its projection where d(x, P) and d(x, pi(x)) are certified
+        keep = (dP >= 0) & (dxpi >= 0)
+        skipped += n - int(np.count_nonzero(keep))
+        proj_pts = [p if k else None for p, k in zip(projections[P], keep.tolist())]
         pid, upts, pdist, refused = projection_ids(backend, proj_pts)
         skipped += refused
 
@@ -132,18 +133,13 @@ def check_ap_axioms(
     )
     skipped += ap3_skipped
 
-    report = ApReport(
-        group=spec.name or repr(spec),
-        sample_radius=sample_radius,
-        coset_radius=coset_radius,
+    return ApReport(
         constants=constants,
         ap3_image_max=ap3_image_max,
         witnesses=witnesses,
         examined=examined,
         skipped=skipped,
     )
-    _equivalence(report)
-    return report
 
 
 def _distinct_columns(backend, xs, ys):
@@ -300,18 +296,3 @@ def _ap2p(spec, P, xs, pid, pdist, dmat, dxpi, constants, witnesses, examined):
             "gap": gap,
             "slack": int(dxpi[a]) + gap + int(dxpi[b]) - int(dmat[a, b]),
         }
-
-
-def _equivalence(report: ApReport) -> None:
-    """Track how the measured unprimed and primed constants bound each other
-    (the two implications are theorems; the arithmetic is recorded, not
-    asserted, because the implied witnesses may fall outside the sample)."""
-    c = report.constants
-    cp = max(c["ap1p"], c["ap2p"])
-    cu = max(c["ap1"], c["ap2"])
-    report.equivalence = {
-        "ap1_le_2cp+1": (c["ap1"], 2 * cp + 1, c["ap1"] <= 2 * cp + 1),
-        "ap2_le_4cp+2": (c["ap2"], 4 * cp + 2, c["ap2"] <= 4 * cp + 2),
-        "ap1p_le_ap1": (c["ap1p"], c["ap1"], c["ap1p"] <= c["ap1"]),
-        "ap2p_le_40cu+1": (c["ap2p"], 40 * cu + 1, c["ap2p"] <= 40 * cu + 1),
-    }

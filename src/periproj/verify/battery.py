@@ -48,8 +48,6 @@ class BatteryRow:
 
 @dataclass
 class BatteryReport:
-    group: str
-    c: int
     rows: dict = field(default_factory=dict)
 
     @property
@@ -102,9 +100,7 @@ def lemma_battery(
     """
     rng = random.Random(plan.seed)
     C = ap_c
-    report = BatteryReport(group=spec.name or repr(spec), c=C)
     rows = {name: BatteryRow(name) for name in ROW_NAMES}
-    report.rows = rows
 
     xs = list(ball(spec, plan.sample_radius))
     cosets = cosets_meeting_ball(spec, ball(spec, plan.coset_radius))
@@ -186,7 +182,7 @@ def lemma_battery(
                     _overlap(path, dprof, block, gap, C, r, rows, base_witness)
 
     _concatenation(spec, backend, rng, paths, plan, rows["concatenation_quasigeodesic"])
-    return report
+    return BatteryReport(rows)
 
 
 def _grazed(prof, r_values, C) -> np.ndarray:

@@ -39,10 +39,8 @@ from .sampling import SamplePlan
 
 @dataclass
 class DstgConstants:
-    group: str
     m: int
     b_by_h: dict
-    t: Fraction
     t_by_l: dict
     sigma_by_d: dict
     entry_m_by_d: dict
@@ -57,12 +55,11 @@ def estimate_dstg_constants(
     backend,
     radius: int,
     hat_backend,
-    plan: SamplePlan | None = None,
 ) -> DstgConstants:
     """The ambient constants over ball(``radius``); ``hat_backend`` is the
     coned-off backend, None only for a group without peripheral factors
     (then ``hat_entry_m`` stays 0)."""
-    plan = plan or SamplePlan()
+    plan = SamplePlan()
     xs = list(ball(spec, radius))
     cosets = cosets_meeting_ball(spec, ball(spec, max(1, radius - 1)))
     witnesses: dict = {}
@@ -84,10 +81,8 @@ def estimate_dstg_constants(
     )
 
     return DstgConstants(
-        group=spec.name or repr(spec),
         m=m_val,
         b_by_h=b_by_h,
-        t=max(t_by_l.values(), default=Fraction(0)),
         t_by_l=t_by_l,
         sigma_by_d=sigma_by_d,
         entry_m_by_d=entry_by_d,

@@ -26,11 +26,7 @@ class FormulaEval:
     lhs: int
     dhat: int
     terms: list
-    thresholds: list
     rhs_by_l: dict
-    sigma: int
-    entry_m: int
-    estimate_bound: int
 
     def rhs(self, threshold: int) -> int:
         return self.rhs_by_l[threshold]
@@ -71,7 +67,6 @@ def distance_formula(
         px = projection(spec, backend, P, x)
         py = projection(spec, backend, P, y)
         terms.append((P, backend.distance(px, py)))
-    thresholds = list(thresholds)
     rhs_by_l = {
         L: sum(v for _, v in terms if v > L) + dhat for L in thresholds
     }
@@ -88,11 +83,7 @@ def distance_formula(
         lhs=lhs,
         dhat=dhat,
         terms=terms,
-        thresholds=thresholds,
         rhs_by_l=rhs_by_l,
-        sigma=sigma,
-        entry_m=entry_m,
-        estimate_bound=bound,
     )
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..group import Element, GroupSpec
+from ..group import Element, GroupSpec, mul, random_normal_form
 
 
 @dataclass
@@ -34,17 +34,10 @@ def random_element_by_length(
     spec: GroupSpec, rng, max_syllables: int, max_syllable_len: int, min_syllables: int = 0
 ) -> Element:
     """Random normal form whose every syllable has factor length <= the bound."""
-    k = rng.randint(min_syllables, max_syllables)
-    syls = []
-    prev = -1
-    nfac = len(spec.factors)
-    for _ in range(k):
-        fi = rng.randrange(nfac)
-        if fi == prev:
-            fi = (fi + 1 + rng.randrange(nfac - 1)) % nfac
-        syls.append((fi, spec.factors[fi].random_coord_by_length(rng, max_syllable_len)))
-        prev = fi
-    return tuple(syls)
+    return random_normal_form(
+        spec, rng, min_syllables, max_syllables,
+        lambda f: f.random_coord_by_length(rng, max_syllable_len),
+    )
 
 
 def seeded_pairs(
@@ -62,8 +55,6 @@ def seeded_pairs(
 def random_walk(spec: GroupSpec, rng, start: Element, length: int):
     """A random edge path (not a geodesic) from ``start``; used to exercise
     path statements whose hypotheses do not require geodesics."""
-    from ..group import mul
-
     moves = spec.moves()
     vertices = [start]
     cur = start

@@ -424,3 +424,39 @@ def test_failure_keeps_finished_suite_reports(tmp_path, capsys, monkeypatch):
     assert summary.endswith(
         "\nfailed: battery: theorem violation: battery inequality failed\n"
     )
+
+
+@pytest.mark.parametrize(
+    "factors, extra, message",
+    [
+        ("cyclic 2", "", "cyclic factor needs: cyclic <n> <label> ('cyclic 2')"),
+        ("z t u", "", "z factor needs: z <label> ('z t u')"),
+        ("z2 u", "", "z2 factor needs: z2 <label1> <label2> ('z2 u')"),
+        ("table", "", "table factor needs: table <json-path> ('table')"),
+        ("free 2 f", "", "unknown factor kind: 'free'"),
+        ("cyclic 2 a", "peripheral = 5\n", "peripheral index out of range: 5"),
+        ("cyclic 2 a", "extra_generators =\n    ab a b\n",
+         "extra generator needs 'name: word' ('ab a b')"),
+        ("cyclic x a", "",
+         "bad config {cfg}: invalid literal for int() with base 10: 'x'"),
+        ("table {missing}", "",
+         "bad table factor file '{missing}': [Errno 2] No such file or directory: '{missing}'"),
+    ],
+    ids=["cyclic_arity", "z_arity", "z2_arity", "table_arity", "unknown_kind",
+         "peripheral_index", "extra_without_colon", "cyclic_order", "table_unreadable"],
+)
+def test_bad_group_config_exit_two(tmp_path, capsys, factors, extra, message):
+    # each bad [group] line ends with exit 2 and one stderr line, before any
+    # report is written
+    cfg = tmp_path / "bad.cfg"
+    missing = tmp_path / "missing.json"
+    cfg.write_text(
+        "[group]\n"
+        f"factors =\n    {factors.format(missing=missing)}\n    cyclic 3 b\n"
+        f"{extra}"
+        "[run]\nsuites = oracle\n"
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+    expected = message.format(cfg=cfg, missing=missing)
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert not (tmp_path / "rep").exists()

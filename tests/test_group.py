@@ -252,6 +252,16 @@ def test_parse_rejects_unknown_label(zxz2):
         parse_element(zxz2, "w^2")
 
 
+@pytest.mark.parametrize(
+    "group, text",
+    [("zxz2", "t[5]"), ("zxz2", "u[3]"), ("c2c3", "b[2] a[1]")],
+)
+def test_parse_rejects_bracket_tokens_of_non_table_factors(request, group, text):
+    # element_str writes label[i] only for table factors
+    with pytest.raises(NormalFormError, match="bracket token"):
+        parse_element(request.getfixturevalue(group), text)
+
+
 def test_spec_needs_two_factors():
     with pytest.raises(InvalidFactorError):
         GroupSpec([InfiniteCyclicFactor("t")])

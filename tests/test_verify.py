@@ -235,6 +235,47 @@ def test_ap_blocks_match_scalar_loops(request, monkeypatch, case, radii):
         assert block.constants["ap3"] == 0 and block.ap3_image_max == 2
 
 
+class _RecordingBackend:
+    """Delegates to a backend and keeps the arguments and result of every
+    ``coset_distance_block`` call."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.blocks = []
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+    def coset_distance_block(self, cosets, xs):
+        block = self.backend.coset_distance_block(cosets, xs)
+        self.blocks.append((list(cosets), list(xs), block.copy()))
+        return block
+
+
+@pytest.mark.parametrize(
+    "case, radii",
+    [("zxz2_exact", (4, 3)), ("c2c3_ext_bfs8", (6, 3)), ("c2c3_ext_bfs4", (4, 3))],
+)
+def test_ap_coset_distances_match_scalar_minimizers(request, case, radii):
+    # the AP reads d(x, P) from one block; the loop it replaced took the
+    # minimum of an explicit scan per (coset, point), -1 where the scan
+    # refuses.  In exact mode the scan runs level by level over the factor,
+    # so this also checks the closed form against it
+    backend = _ap_backend(request, case)
+    recorder = _RecordingBackend(backend)
+    check_ap_axioms(backend.spec, recorder, *radii)
+    [(cosets, xs, block)] = recorder.blocks
+    ref = np.full((len(cosets), len(xs)), -1, dtype=np.int32)
+    for r, P in enumerate(cosets):
+        for c, x in enumerate(xs):
+            try:
+                ref[r, c] = backend.coset_minimizers(P, x)[0]
+            except OutOfRangeError:
+                pass
+    assert np.array_equal(block, ref)
+    assert (ref < 0).any() == isinstance(backend, BfsBackend)
+
+
 def test_ap_leaves_out_rows_with_refused_projection_distance(c2c3_ext, ext_bfs8):
     # with distances capped at 1, d(x, pi(x)) is refused for the sample rows
     # farther from their projection: ap1p examines exactly the other rows
