@@ -30,7 +30,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .factor import KINDS
-from .group import GroupSpec, ball, parse_element
+from .group import DEFAULT_BALL_CAP, GroupSpec, ball, parse_element
 from .metric import BfsBackend, ExactBackend, quasigeodesic_constants
 from .conedoff import ConedOffBackend, check_bcp, dist_hat, lift
 from .verify import (
@@ -114,10 +114,9 @@ def _parse_factors(lines: str):
 
 def parse_config(path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
     try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
         gsec = parser["group"]
         factors = _parse_factors(gsec.get("factors", ""))
         peripheral = [int(tok) for tok in gsec.get("peripheral", "").split()]
@@ -143,27 +142,23 @@ def parse_config(path: str | Path) -> RunConfig:
         config = RunConfig(
             group=spec,
             name=name,
-            mode=_get(bsec, "mode", default_mode),
-            radius=int(_get(bsec, "radius", "6")),
-            hat_radius=int(_get(bsec, "hat_radius", _get(bsec, "radius", "6"))),
-            ball_cap=int(_get(bsec, "ball_cap", "2000000")),
-            suites=_get(rsec, "suites", "oracle").split(),
-            thresholds=[int(t) for t in _get(rsec, "thresholds", "2 4 8").split()],
-            samples=int(_get(rsec, "samples", "200")),
-            seed=int(_get(rsec, "seed", "7")),
-            sample_radius=int(_get(rsec, "sample_radius", "4")),
-            coset_radius=int(_get(rsec, "coset_radius", "3")),
-            out_dir=Path(_get(rsec, "out", "reports")),
+            mode=bsec.get("mode", default_mode),
+            radius=int(bsec.get("radius", "6")),
+            hat_radius=int(bsec.get("hat_radius", bsec.get("radius", "6"))),
+            ball_cap=int(bsec.get("ball_cap", DEFAULT_BALL_CAP)),
+            suites=rsec.get("suites", "oracle").split(),
+            thresholds=[int(t) for t in rsec.get("thresholds", "2 4 8").split()],
+            samples=int(rsec.get("samples", "200")),
+            seed=int(rsec.get("seed", "7")),
+            sample_radius=int(rsec.get("sample_radius", "4")),
+            coset_radius=int(rsec.get("coset_radius", "3")),
+            out_dir=Path(rsec.get("out", "reports")),
             source=str(path),
         )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad config {path}: {exc}") from exc
+    except (KeyError, ValueError, configparser.Error) as exc:
+        # a parse error spans several lines; the message keeps to one
+        raise ConfigError(f"bad config {path}: {' '.join(str(exc).split())}") from exc
     return config
-
-
-def _get(section, key, default):
-    value = section.get(key, default)
-    return value if value is not None else default
 
 
 @dataclass
@@ -408,20 +403,23 @@ def _suite_dstg(config, spec, backend, hat_backend, shared) -> SuiteResult:
     )
 
 
+def _ball_tuples(config, spec, rng, n, k):
+    """``n`` seeded k-tuples of elements of ball(radius // k): the BFS-mode
+    samples, pairs (k = 2, whose distance is then within ``radius``) and
+    triangles (k = 3)."""
+    elems = list(ball(spec, config.radius // k, config.ball_cap))
+    return [tuple(elems[rng.randrange(len(elems))] for _ in range(k)) for _ in range(n)]
+
+
 def _certified_pairs(config, spec, rng, n, max_syllables, max_syllable_len):
     """Pair sample whose group distances the backend certifies: free-form
-    in exact mode, drawn from the half-radius ball in BFS mode (so that
-    d(x, y) <= ``radius``).  Coned-off distances are not bounded: in extended
-    mode ``ConedOffBackend`` refuses a pair whose coned-off distance times
-    the largest peripheral diameter exceeds ``hat_radius``, and the suites
-    count such pairs as skipped."""
+    in exact mode, drawn from the half-radius ball in BFS mode.  Coned-off
+    distances are not bounded: in extended mode ``ConedOffBackend`` refuses
+    a pair whose coned-off distance times the largest peripheral diameter
+    exceeds ``hat_radius``, and the suites count such pairs as skipped."""
     if config.mode == "exact":
         return seeded_pairs(spec, rng, n, max_syllables, max_syllable_len)
-    elems = list(ball(spec, config.radius // 2, config.ball_cap))
-    return [
-        (elems[rng.randrange(len(elems))], elems[rng.randrange(len(elems))])
-        for _ in range(n)
-    ]
+    return _ball_tuples(config, spec, rng, n, 2)
 
 
 def _suite_formula(config, spec, backend, hat_backend, shared) -> SuiteResult:
@@ -518,11 +516,7 @@ def _suite_thinness(config, spec, backend, hat_backend, shared) -> SuiteResult:
     if config.mode == "exact":
         triangles = triangle_sample(spec, rng, config.samples)
     else:
-        elems = list(ball(spec, config.radius // 3, config.ball_cap))
-        triangles = [
-            tuple(elems[rng.randrange(len(elems))] for _ in range(3))
-            for _ in range(config.samples)
-        ]
+        triangles = _ball_tuples(config, spec, rng, config.samples, 3)
     report = thinness_scan(spec, backend, 1, triangles)
     bins: dict = {}
     for row in report.rows:

@@ -6,6 +6,9 @@ labels, peripheral flag and config line (``kind``, ``syntax``, ``from_tokens``);
 everything above (free-product elements, metrics, cosets) talks to factors
 only through this interface.
 
+In-factor geodesics come from ``greedy_moves``, the one greedy walker, which
+``metric.BfsBackend`` also runs over a Cayley ball.
+
 Coordinates are kind-specific plain values: a residue in [0, n) for cyclic,
 an int for infinite cyclic, an (int, int) pair for rank-2 free abelian, and a
 table index for finite tables.  The kind's zero value is the identity; the
@@ -95,29 +98,11 @@ class Factor:
 
     def geodesic_moves(self, x, y) -> list[tuple[str, object]]:
         """The (label, move) steps of a geodesic from ``x`` to ``y``, of
-        length ``length(inv(x)*y)``.
-
-        Greedy: at each step take the first move (in ``moves`` order) that
-        decreases the remaining distance, so ties resolve to the earliest
-        generator label.
-        """
+        length ``length(inv(x)*y)``, by ``greedy_moves``."""
         self.check_coord(x)
         self.check_coord(y)
-        steps = []
-        cur = x
-        moves = self.moves()
-        remaining = self.length(self.mul(self.inv(cur), y))
-        while remaining > 0:
-            for label, g in moves:
-                nxt = self.mul(cur, g)
-                if self.length(self.mul(self.inv(nxt), y)) == remaining - 1:
-                    break
-            else:  # pragma: no cover - moves generate the factor
-                raise InvalidFactorError("no distance-decreasing move; generators do not generate")
-            steps.append((label, g))
-            cur = nxt
-            remaining -= 1
-        return steps
+        moves = [(label, g, self.inv(g)) for label, g in self.moves()]
+        return greedy_moves(self.mul(self.inv(x), y), moves, self.length, self.mul)
 
     def geodesic(self, x, y) -> list:
         """Vertex path from ``x`` to ``y`` along ``geodesic_moves``."""
@@ -443,12 +428,38 @@ class TableFactor(Factor):
         return [f"{self.labels[0]}[{x}]"]
 
     def index_coord(self, token: str, index: str):
-        idx = int(index)
-        self.check_coord(idx)
+        try:
+            idx = int(index)
+            self.check_coord(idx)
+        except (ValueError, InvalidFactorError) as exc:
+            raise NormalFormError(f"bad table token: {token!r}") from exc
         return idx
 
     def _key(self) -> tuple:
         return (self.table, tuple(sorted(self._gen_index.items())))
+
+
+def greedy_moves(w, moves, length, left_mul) -> list[tuple[str, object]]:
+    """The (label, move) steps of a geodesic from the identity to ``w``.
+
+    ``moves`` holds (label, move, inverse) triples and ``length`` gives the
+    distance from the identity (None where it is not known).  Each step
+    takes the first move g in ``moves`` order for which g^-1 w, formed by
+    ``left_mul(g^-1, w)``, is one step closer, and continues from there, so
+    ties resolve to the earliest move.
+    """
+    steps = []
+    d = length(w)
+    while d:
+        for label, g, g_inv in moves:
+            nw = left_mul(g_inv, w)
+            if length(nw) == d - 1:
+                break
+        else:  # pragma: no cover - the moves generate, so a closer vertex exists
+            raise InvalidFactorError("no distance-decreasing move")
+        steps.append((label, g))
+        w, d = nw, d - 1
+    return steps
 
 
 def _check_label(label: str) -> None:

@@ -503,23 +503,15 @@ def _power_coord(f: Factor, gen_pos: int, exp: int):
     return acc
 
 
-def random_element(
-    spec: GroupSpec,
-    rng,
-    max_syllables: int,
-    max_exponent: int = 6,
-    min_syllables: int = 0,
-) -> Element:
+def random_element(spec: GroupSpec, rng, max_syllables: int, max_exponent: int = 6) -> Element:
     """Seeded random normal form with bounded syllable count and coordinates."""
-    return random_normal_form(
-        spec, rng, min_syllables, max_syllables, lambda f: f.random_coord(rng, max_exponent)
-    )
+    return random_normal_form(spec, rng, max_syllables, lambda f: f.random_coord(rng, max_exponent))
 
 
-def random_normal_form(spec: GroupSpec, rng, min_syllables, max_syllables, draw) -> Element:
-    """Seeded random normal form of ``min_syllables`` to ``max_syllables``
-    syllables, adjacent ones from distinct factors, coordinates ``draw(factor)``."""
-    k = rng.randint(min_syllables, max_syllables)
+def random_normal_form(spec: GroupSpec, rng, max_syllables, draw) -> Element:
+    """Seeded random normal form of 0 to ``max_syllables`` syllables,
+    adjacent ones from distinct factors, coordinates ``draw(factor)``."""
+    k = rng.randint(0, max_syllables)
     syls: list[Syllable] = []
     prev = -1
     nfac = len(spec.factors)

@@ -28,9 +28,10 @@ Projection routes:
 * ``coset_minimizers(P, x)``: the whole certified minimizing set, by an
   explicit scan.
 
-Exact blocks never multiply elements: both inputs are encoded by their
-syllable prefixes (paths in the Bass-Serre tree of the free product), and
-numpy reads each distance from the tails past the first differing syllable
+Exact blocks never multiply elements: both inputs are encoded by syllable
+ids (a normal form is a path in the Bass-Serre tree of the free product), a
+running equality mask over the id columns counts the shared leading
+syllables, and numpy reads each distance from the tails past them
 (``_prefix_block``).  BFS blocks are walks in the indexed ball: the id of
 x^-1 y is reached from x^-1 along the parent moves of y, one gather per
 move over all cells (``Ball.walk``), and d(x, P) is the distance of the
@@ -39,6 +40,8 @@ ball falls back to the scalar path.  The scalar ``distance``,
 ``coset_distance`` and ``project`` are the reference every block is tested
 against.
 
+Both backends' ``geodesic`` is greedy: ``factor.greedy_moves``, per
+syllable in exact mode and over the ball's distances in BFS mode.
 ``dag_paths`` is the one depth-first enumerator of a shortest-path DAG.
 ``enumerate_geodesics`` walks it forward in the Cayley graph, and the
 coned-off window (``conedoff.ConedOffBackend``) backward from its target.
@@ -51,6 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfRangeError, UnsupportedMetricError
+from .factor import greedy_moves
 from .group import (
     DEFAULT_BALL_CAP,
     Element,
@@ -104,72 +108,56 @@ _CHUNK_CELLS = 1 << 15
 
 
 def _prefix_code(spec: GroupSpec, lists):
-    """Syllable-prefix code of each list of normal forms, with ids shared
-    across the lists of one call.
+    """Syllable code of each list of normal forms, with ids shared across
+    the lists of one call.
 
-    A normal form is a path from the root of the trie of syllable prefixes,
-    the Bass-Serre tree of the free product.  Per list, ``prefix[r, j]`` is
-    the id of the prefix x[:j+1] (padded with -1 - list index, so two lists
-    never agree past an end), ``syl[r, j]`` the id of syllable j (-1 past the
+    Per list, ``syl[r, j]`` is the id of syllable j of row r (-1 past the
     end) and ``tail[r, j]`` the summed syllable lengths from j on.  Returns
-    the per-list (prefix, syl, tail) triples, the syllables by id and their
-    lengths.
+    the per-list (syl, tail) pairs, the syllables by id and their lengths
+    by id, with a trailing 0 that answers the -1 ids.
     """
-    factors = spec.factors
     depth = max((len(x) for xs in lists for x in xs), default=0)
-    node_ids: dict = {}
-    syl_ids: dict = {}
-    syl_len: list[int] = []
-    coded = []
-    for pad, xs in enumerate(lists):
-        prefix, syl, lens = [], [], []
-        for x in xs:
-            node = -1
-            p_row, s_row = [], []
-            for s in x:
-                sid = syl_ids.setdefault(s, len(syl_ids))
-                if sid == len(syl_len):
-                    syl_len.append(factors[s[0]].length(s[1]))
-                node = node_ids.setdefault((node, sid), len(node_ids))
-                p_row.append(node)
-                s_row.append(sid)
-            gap = depth - len(x)
-            prefix.append(p_row + [-1 - pad] * gap)
-            syl.append(s_row + [-1] * (gap + 1))
-            lens.append([syl_len[sid] for sid in s_row] + [0] * (gap + 1))
-        shape = (len(xs), depth + 1)
-        tail = np.array(lens, dtype=np.int64).reshape(shape)[:, ::-1].cumsum(axis=1)[:, ::-1]
-        coded.append((
-            np.array(prefix, dtype=np.int32).reshape(len(xs), depth),
-            np.array(syl, dtype=np.int32).reshape(shape),
-            np.ascontiguousarray(tail),
-        ))
-    return coded, list(syl_ids), syl_len
+    ids: dict = {}
+    codes = [
+        np.array(
+            [[ids.setdefault(s, len(ids)) for s in x] + [-1] * (depth + 1 - len(x)) for x in xs],
+            dtype=np.int32,
+        ).reshape(len(xs), depth + 1)
+        for xs in lists
+    ]
+    syllables = list(ids)
+    slen = np.array([spec.factors[fi].length(c) for fi, c in syllables] + [0], dtype=np.int64)
+    tails = [np.ascontiguousarray(slen[syl][:, ::-1].cumsum(axis=1)[:, ::-1]) for syl in codes]
+    return list(zip(codes, tails)), syllables, slen
 
 
 def _prefix_block(spec: GroupSpec, xs, ys, gates=None) -> np.ndarray:
     """d(x, y) over ``xs`` x ``ys`` for the standard generating set.
 
-    Let k be the first syllable index where x and y differ.  Then x^-1 y is
+    Let k be the number of leading syllables that x and y share (their
+    common prefix: a path from the root of the Bass-Serre tree), counted
+    with a running equality mask over the syllable ids.  Then x^-1 y is
     x[k:]^-1 y[k:], whose syllables are those of both tails except that the
     k-th syllables a and b merge into a^-1 b when they come from the same
     factor f, so d(x, y) = tail_x(k) + tail_y(k) - corr with
     corr = len(a) + len(b) - len_f(a^-1 b), read from a table over the
-    distinct pairs (a, b) that occur.  With ``gates`` (a factor index per
-    row) the syllable of y right after a whole row x is dropped when it lies
-    in that factor: d(y, x H_i) for a canonical coset rep x.
+    distinct pairs (a, b) that occur.  (When x = y the mask runs on past
+    both ends, where ids are -1 and tails 0, so the cell still reads 0.)
+    With ``gates`` (a factor index per row) the syllable of y right after a
+    whole row x is dropped when it lies in that factor: d(y, x H_i) for a
+    canonical coset rep x.
     """
     n, m = len(xs), len(ys)
     out = np.empty((n, m), dtype=np.int32)
     if not n or not m:
         return out
-    ((px, sx, tx), (py, sy, ty)), syllables, lengths = _prefix_code(spec, [xs, ys])
+    ((sx, tx), (sy, ty)), syllables, slen = _prefix_code(spec, [xs, ys])
     if tx[:, 0].max() + ty[:, 0].max() > np.iinfo(np.int32).max:
         raise OverflowError("distances do not fit the int32 block")
     factors = spec.factors
     # a trailing sentinel answers the -1 ids past an end
     sfac = np.array([fi for fi, _ in syllables] + [-1], dtype=np.int32)
-    slen = np.array(lengths + [0], dtype=np.int32)
+    lengths = slen.tolist()
     nsyl = len(syllables)
     saved: dict = {}
 
@@ -190,11 +178,12 @@ def _prefix_block(spec: GroupSpec, xs, ys, gates=None) -> np.ndarray:
         r1 = min(n, r0 + step)
         rows = np.arange(r0, r1)[:, None]
         k = np.zeros((r1 - r0, m), dtype=np.intp)
-        for j in range(px.shape[1]):
-            eq = px[r0:r1, j, None] == py[:, j]
-            if not eq.any():
+        run = np.ones((r1 - r0, m), dtype=bool)
+        for j in range(sx.shape[1] - 1):
+            run &= sx[r0:r1, j, None] == sy[:, j]
+            if not run.any():
                 break
-            k += eq
+            k += run
         a = sx[rows, k]
         b = sy[cols, k]
         d = tx[rows, k] + ty[cols, k]
@@ -440,29 +429,17 @@ class BfsBackend:
         return self.coset_minimizers(P, x)[0]
 
     def geodesic(self, x: Element, y: Element) -> VertexPath:
-        """Greedy geodesic: first move (in generating-set order) that decreases distance."""
-        spec = self.spec
-        index, dist = self.table.index, self.table.by_id
+        """Greedy geodesic (``greedy_moves``): at each vertex the first move,
+        in generating-set order, that decreases the distance to y."""
+        spec, table = self.spec, self.table
         w = mul(spec, inv(spec, x), y)
-        d = self.table.get(w)
-        if d is None:
+        if w not in table:
             raise OutOfRangeError(f"pair at distance > {self.radius}")
         vertices = [x]
         labels: list[str] = []
-        cur = x
-        while w:
-            for label, g, g_inv in self._moves:
-                nw = mul(spec, g_inv, w)
-                j = index.get(nw)
-                if j is not None and dist[j] == d - 1:
-                    cur = mul(spec, cur, g)
-                    vertices.append(cur)
-                    labels.append(label)
-                    w = nw
-                    d -= 1
-                    break
-            else:  # pragma: no cover - BFS parent property guarantees progress
-                raise OutOfRangeError("no distance-decreasing move inside the ball")
+        for label, g in greedy_moves(w, self._moves, table.get, lambda a, b: mul(spec, a, b)):
+            vertices.append(mul(spec, vertices[-1], g))
+            labels.append(label)
         return VertexPath(vertices, labels)
 
 

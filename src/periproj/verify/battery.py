@@ -78,6 +78,8 @@ ROW_NAMES = (
     "concatenation_quasigeodesic",
     "large_gap_ball_hit",
 )
+# edges of each random generator walk
+WALK_LENGTH = 12
 
 
 def lemma_battery(
@@ -246,8 +248,7 @@ def _build_paths(spec, backend, hat_backend, rng, pairs, plan, rows) -> list:
             except OutOfRangeError:
                 continue
     for _ in range(plan.n_walks):
-        start = ()
-        paths.append(_Path(random_walk(spec, rng, start, plan.walk_length), 0, "walk"))
+        paths.append(_Path(random_walk(spec, rng, (), WALK_LENGTH), 0, "walk"))
     return paths
 
 

@@ -34,7 +34,13 @@ from ..peripheral import (
     proj_entrypoint,
     projection,
 )
-from .sampling import SamplePlan
+
+# caps on the samples of the m, t and sigma estimates: enumerated geodesics
+# per pair, coset points per coset, and qualifying pairs per coset (m) or
+# coset pairs (sigma)
+GEODESIC_CAP = 20
+ENDPOINT_CAP = 6
+COSET_PAIR_CAP = 400
 
 
 @dataclass
@@ -59,7 +65,6 @@ def estimate_dstg_constants(
     """The ambient constants over ball(``radius``); ``hat_backend`` is the
     coned-off backend, None only for a group without peripheral factors
     (then ``hat_entry_m`` stays 0)."""
-    plan = SamplePlan()
     xs = list(ball(spec, radius))
     cosets = cosets_meeting_ball(spec, ball(spec, max(1, radius - 1)))
     witnesses: dict = {}
@@ -72,10 +77,10 @@ def estimate_dstg_constants(
     skipped += int((dcos_block < 0).sum())
     dcos = dict(zip(cosets, dcos_block))
 
-    m_val = _measure_m(spec, backend, xs, cosets, dmat, dcos, plan, witnesses, examined)
+    m_val = _measure_m(spec, backend, xs, cosets, dmat, dcos, witnesses, examined)
     b_by_h = _measure_b(spec, cosets, xs, dmat, dcos, witnesses, examined)
-    t_by_l = _measure_t(spec, backend, cosets, xs, dcos, plan, witnesses, examined)
-    sigma_by_d = _measure_sigma(spec, backend, cosets, xs, dcos, plan, witnesses, examined)
+    t_by_l = _measure_t(spec, backend, cosets, xs, dcos, witnesses, examined)
+    sigma_by_d = _measure_sigma(spec, backend, cosets, xs, dcos, witnesses, examined)
     entry_by_d, hat_entry = _measure_entry(
         spec, backend, hat_backend, xs, cosets, witnesses, examined
     )
@@ -93,16 +98,15 @@ def estimate_dstg_constants(
     )
 
 
-def _measure_m(spec, backend, xs, cosets, dmat, dcos, plan, witnesses, examined) -> int:
+def _measure_m(spec, backend, xs, cosets, dmat, dcos, witnesses, examined) -> int:
     best = 0
-    cap = plan.coset_pair_cap
     for P in cosets:
         col = dcos[P]
         ok = (col >= 0)[:, None] & (col >= 0)[None, :] & (dmat >= 0)
         qual = ok & (3 * col[:, None] <= dmat) & (3 * col[None, :] <= dmat)
-        pairs = np.argwhere(np.triu(qual, 1))[:cap]
+        pairs = np.argwhere(np.triu(qual, 1))[:COSET_PAIR_CAP]
         for i, j in pairs:
-            geos, _ = enumerate_geodesics(backend, xs[i], xs[j], plan.geodesic_cap)
+            geos, _ = enumerate_geodesics(backend, xs[i], xs[j], GEODESIC_CAP)
             for g in geos:
                 try:
                     q = min(dist_to_coset(spec, backend, P, v) for v in g.vertices)
@@ -141,12 +145,12 @@ def _measure_b(spec, cosets, xs, dmat, dcos, witnesses, examined) -> dict:
     return b_by_h
 
 
-def _measure_t(spec, backend, cosets, xs, dcos, plan, witnesses, examined) -> dict:
+def _measure_t(spec, backend, cosets, xs, dcos, witnesses, examined) -> dict:
     t_by_l = {}
     for level in (1, 2, 3):
         best = Fraction(0)
         for P in cosets:
-            sel = np.nonzero((dcos[P] >= 0) & (dcos[P] <= level))[0][: 2 * plan.endpoint_cap]
+            sel = np.nonzero((dcos[P] >= 0) & (dcos[P] <= level))[0][: 2 * ENDPOINT_CAP]
             for i, j in combinations(sel, 2):
                 try:
                     g = backend.geodesic(xs[i], xs[j])
@@ -167,7 +171,7 @@ def _measure_t(spec, backend, cosets, xs, dcos, plan, witnesses, examined) -> di
     return t_by_l
 
 
-def _measure_sigma(spec, backend, cosets, xs, dcos, plan, witnesses, examined) -> dict:
+def _measure_sigma(spec, backend, cosets, xs, dcos, witnesses, examined) -> dict:
     sigma_by_d = {}
     trace_cache: dict = {}
 
@@ -180,12 +184,12 @@ def _measure_sigma(spec, backend, cosets, xs, dcos, plan, witnesses, examined) -
 
     for depth in (0, 1):
         best = 0
-        pair_budget = plan.coset_pair_cap
+        pair_budget = COSET_PAIR_CAP
         for P, Q in combinations(cosets, 2):
             if pair_budget <= 0:
                 break
-            selp = np.nonzero((dcos[P] >= 0) & (dcos[P] <= depth))[0][: plan.endpoint_cap]
-            selq = np.nonzero((dcos[Q] >= 0) & (dcos[Q] <= depth))[0][: plan.endpoint_cap]
+            selp = np.nonzero((dcos[P] >= 0) & (dcos[P] <= depth))[0][: ENDPOINT_CAP]
+            selq = np.nonzero((dcos[Q] >= 0) & (dcos[Q] <= depth))[0][: ENDPOINT_CAP]
             if len(selp) < 2 or len(selq) < 2:
                 continue
             pair_budget -= 1

@@ -9,7 +9,7 @@ from ..group import Element, GroupSpec, mul, random_normal_form
 
 @dataclass
 class SamplePlan:
-    """Deterministic sampling parameters for the lemma battery and constants.
+    """Deterministic sampling parameters for the lemma battery.
 
     Every randomized suite draws from ``random.Random(seed)``, so identical
     plans reproduce identical reports.
@@ -18,25 +18,20 @@ class SamplePlan:
     seed: int = 7
     n_pairs: int = 300
     n_walks: int = 60
-    walk_length: int = 12
     max_syllables: int = 5
     max_syllable_len: int = 4
     sample_radius: int = 3
     coset_radius: int = 2
     ks: tuple = (1, 2, 3)
     r_offsets: tuple = (0, 1, 2)
-    geodesic_cap: int = 20
-    endpoint_cap: int = 6
-    coset_pair_cap: int = 400
 
 
 def random_element_by_length(
-    spec: GroupSpec, rng, max_syllables: int, max_syllable_len: int, min_syllables: int = 0
+    spec: GroupSpec, rng, max_syllables: int, max_syllable_len: int
 ) -> Element:
     """Random normal form whose every syllable has factor length <= the bound."""
     return random_normal_form(
-        spec, rng, min_syllables, max_syllables,
-        lambda f: f.random_coord_by_length(rng, max_syllable_len),
+        spec, rng, max_syllables, lambda f: f.random_coord_by_length(rng, max_syllable_len)
     )
 
 

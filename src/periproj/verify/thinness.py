@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import OutOfRangeError
 from ..group import GroupSpec, ball, mul
-from ..peripheral import coset_of
+from ..peripheral import cosets_meeting_ball
 from .sampling import random_element_by_length
 
 
@@ -108,15 +108,10 @@ def _penetration(spec, backend, verts, spans, dmat, k, nbhd) -> int:
     count toward the diameter exactly when some coset has both within k;
     their distance is certified, as both lie on one certified geodesic.
     """
-    candidates: dict = {}
-    for v in verts:
-        for g in nbhd:
-            w = mul(spec, v, g)
-            for i in spec.peripheral_indices:
-                candidates.setdefault(coset_of(spec, w, i), None)
+    candidates = cosets_meeting_ball(spec, (mul(spec, v, g) for v in verts for g in nbhd))
     if not candidates:
         return 0
-    dcos = backend.coset_distance_block(list(candidates), verts)
+    dcos = backend.coset_distance_block(candidates, verts)
     _refuse_if_uncertified(dcos)
     # float32, so that the co-membership counts below are a BLAS product
     near = (dcos <= k).astype(np.float32)

@@ -460,3 +460,41 @@ def test_bad_group_config_exit_two(tmp_path, capsys, factors, extra, message):
     expected = message.format(cfg=cfg, missing=missing)
     assert capsys.readouterr().err == f"config error: {expected}\n"
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"[group]\nfactors =\n    cyclic 2 a\n    cyclic 3 b\n[backend]\nradius\n",
+        b"radius = 3\n[group]\nfactors =\n    cyclic 2 a\n    cyclic 3 b\n",
+        b"[group]\nname = one\nname = two\nfactors =\n    cyclic 2 a\n    cyclic 3 b\n",
+        b"[group]\nname = 50%\nfactors =\n    cyclic 2 a\n    cyclic 3 b\n",
+        b"\xff\xfe[group]\n",
+    ],
+    ids=["bare_key", "no_section_header", "duplicate_key", "bad_interpolation", "undecodable"],
+)
+def test_malformed_config_exit_two(tmp_path, capsys, data):
+    # a file that configparser cannot read or interpolate is a config error:
+    # one stderr line, exit 2 and no report, never a traceback and exit 1
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(data)
+    with pytest.raises(ConfigError, match=f"^bad config {re.escape(str(cfg))}: "):
+        parse_config(str(cfg))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad config {cfg}: ") and err.count("\n") == 1
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known false positive of the thinness flag (ROADMAP item 2): at seed 104 "
+    "the depth-11 bin reads small_delta 2, large_delta 5 on Z * Z^2, which is "
+    "hyperbolic relative to Z^2",
+)
+def test_thinness_no_false_positive_zxz2_seed_104(tmp_path):
+    code = main(
+        ["run", "--config", config_path("zxz2.cfg"), "--seed", "104", "--suite", "thinness",
+         "--out", str(tmp_path / "rep")]
+    )
+    assert code == 0

@@ -242,3 +242,33 @@ def test_geodesic_moves_labels_match_steps(factor):
             path = factor.geodesic(x, y)
             expected = [step_label[factor.mul(factor.inv(a), b)] for a, b in zip(path, path[1:])]
             assert [label for label, _ in factor.geodesic_moves(x, y)] == expected
+
+
+def _greedy_factor_moves(factor, x, y):
+    """The greedy loop that ``greedy_moves`` replaced: from the current
+    vertex, the first move whose end is one step closer to ``y``."""
+    steps, cur = [], x
+    remaining = factor.length(factor.mul(factor.inv(x), y))
+    while remaining > 0:
+        for label, g in factor.moves():
+            nxt = factor.mul(cur, g)
+            if factor.length(factor.mul(factor.inv(nxt), y)) == remaining - 1:
+                break
+        steps.append((label, g))
+        cur, remaining = nxt, remaining - 1
+    return steps
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [CyclicFactor(5, "c"), CyclicFactor(6, "c"), InfiniteCyclicFactor("t"),
+     FreeAbelianRank2Factor("u", "v"), TableFactor(S3, S3_GENS), TableFactor(C6, {"g": 1})],
+    ids=["cyclic5", "cyclic6", "z", "z2", "s3", "c6_table"],
+)
+def test_geodesic_moves_match_greedy_reference(factor):
+    # the shared walker takes the same steps as the old loop over every pair
+    # of the radius-4 ball
+    pts = [x for level in range(5) for x in factor.elements_of_length(level)]
+    for x in pts:
+        for y in pts:
+            assert factor.geodesic_moves(x, y) == _greedy_factor_moves(factor, x, y)

@@ -262,6 +262,15 @@ def test_parse_rejects_bracket_tokens_of_non_table_factors(request, group, text)
         parse_element(request.getfixturevalue(group), text)
 
 
+@pytest.mark.parametrize("text", ["s[x]", "s[9]", "s[-1]", "c s[]"])
+def test_parse_rejects_bad_table_tokens(text):
+    # a non-integer or out-of-range table index is a malformed token, like
+    # every other one, not a bare ValueError or a factor error
+    spec = GroupSpec([_four_kinds_spec().factors[3], CyclicFactor(2, "c")])
+    with pytest.raises(NormalFormError, match="bad table token"):
+        parse_element(spec, text)
+
+
 def test_spec_needs_two_factors():
     with pytest.raises(InvalidFactorError):
         GroupSpec([InfiniteCyclicFactor("t")])

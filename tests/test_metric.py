@@ -365,3 +365,72 @@ def test_exact_distance_block_overflow_raises(zxz2, zxz2_exact):
     assert zxz2_exact.distance(IDENTITY, x) == 2**31
     with pytest.raises(OverflowError):
         zxz2_exact.distance_block([IDENTITY], [x])
+
+
+def _greedy_bfs_geodesic(backend, x, y):
+    """The hand-written greedy loop that ``greedy_moves`` replaced: from
+    x^-1 y, the first move g (generating-set order) with g^-1 w one ball
+    level lower, until the identity."""
+    spec, table = backend.spec, backend.table
+    moves = [(label, g, inv(spec, g)) for label, g in spec.moves()]
+    w = mul(spec, inv(spec, x), y)
+    d = table.get(w)
+    if d is None:
+        raise OutOfRangeError("outside the ball")
+    vertices, labels, cur = [x], [], x
+    while w:
+        for label, g, g_inv in moves:
+            nw = mul(spec, g_inv, w)
+            if table.get(nw) == d - 1:
+                break
+        cur = mul(spec, cur, g)
+        vertices.append(cur)
+        labels.append(label)
+        w, d = nw, d - 1
+    return vertices, labels
+
+
+@pytest.mark.parametrize(
+    "name, start", [("ext_bfs8", "a"), ("ext_bfs8", "b a b"), ("zxz2_bfs6", "t u v")],
+)
+def test_bfs_geodesic_matches_greedy_reference(request, name, start):
+    # the same vertices and labels as the old loop for every target of
+    # ball(4), from the identity and from a non-identity start; from "t u v"
+    # some zxz2 targets lie past radius 6, and both refuse them
+    backend = request.getfixturevalue(name)
+    spec = backend.spec
+    refused = 0
+    for x in (IDENTITY, parse_element(spec, start)):
+        for y in ball(spec, 4):
+            try:
+                expected = _greedy_bfs_geodesic(backend, x, y)
+            except OutOfRangeError:
+                refused += 1
+                with pytest.raises(OutOfRangeError):
+                    backend.geodesic(x, y)
+                continue
+            path = backend.geodesic(x, y)
+            assert (path.vertices, path.labels) == expected
+    assert (refused > 0) == (name == "zxz2_bfs6")
+
+
+@pytest.mark.parametrize("name", ["c2c3_exact", "s3c2_exact", "zxz2_exact"])
+def test_exact_blocks_on_equal_and_prefix_pairs(request, name):
+    # the shared-prefix count of the exact blocks: x = y (the equality mask
+    # runs on past both ends) and x a proper syllable prefix of y or y of x
+    # (it stops at the shorter end), against the scalar paths
+    backend = request.getfixturevalue(name)
+    spec = backend.spec
+    rng = random.Random(3)
+    words = [random_element(spec, rng, 6, 4) for _ in range(10)]
+    pts = list(dict.fromkeys(w[:j] for w in words for j in range(len(w) + 1)))
+    assert any(len(p) >= 4 for p in pts)
+    for xs in ([p] for p in pts):
+        assert backend.distance_block(xs, xs).tolist() == [[0]]
+    block = backend.distance_block(pts, pts)
+    assert block.tolist() == _scalar_block(backend.distance, pts, pts)
+    assert not np.diagonal(block).any()
+    cosets = list(dict.fromkeys(coset_of(spec, p, i) for p in pts for i in spec.peripheral_indices))
+    assert any(P.rep == p for P in cosets for p in pts)
+    expected = _scalar_block(backend.coset_distance, cosets, pts)
+    assert backend.coset_distance_block(cosets, pts).tolist() == expected
