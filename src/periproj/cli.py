@@ -45,7 +45,6 @@ from .verify import (
     triangle_sample,
 )
 
-SUITES = ("oracle", "ap", "battery", "dstg", "formula", "bcp", "lifts", "thinness")
 # a run that skips more than this share of its configurations exits 3
 SKIP_TOLERANCE = 0.5
 
@@ -54,7 +53,6 @@ SKIP_TOLERANCE = 0.5
 class RunConfig:
     group: GroupSpec
     name: str
-    mode: str  # exact | bfs
     radius: int
     hat_radius: int
     ball_cap: int
@@ -67,16 +65,17 @@ class RunConfig:
     out_dir: Path
     source: str = ""
 
+    @property
+    def mode(self) -> str:
+        """The backend the generating set implies (closed forms or a BFS ball)."""
+        return "exact" if self.group.is_standard else "bfs"
+
     def validate(self) -> None:
         if not self.suites:
             raise ConfigError("no suites selected")
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite: {s!r} (choose from {', '.join(SUITES)})")
-        if self.mode not in ("exact", "bfs"):
-            raise ConfigError(f"backend mode must be exact or bfs, got {self.mode!r}")
-        if self.mode == "exact" and not self.group.is_standard:
-            raise ConfigError("exact backend requires the standard generating set")
         if self.radius < 1 or self.sample_radius < 1:
             raise ConfigError("radii must be positive")
         for key in ("hat_radius", "coset_radius"):
@@ -95,6 +94,10 @@ class RunConfig:
             raise ConfigError(
                 f"suites {sorted(needs_peripheral)} need a nonempty peripheral set"
             )
+        # the report directory is made after a suite, so check it before
+        existing = next(p for p in (self.out_dir, *self.out_dir.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"report directory {self.out_dir}: {existing} is not a directory")
 
 
 def _parse_factors(lines: str):
@@ -137,12 +140,10 @@ def parse_config(path: str | Path) -> RunConfig:
         spec = GroupSpec(factors, extra_generators=extras, name=name) if extras else pre_spec
 
         bsec = parser["backend"] if parser.has_section("backend") else {}
-        default_mode = "exact" if spec.is_standard else "bfs"
         rsec = parser["run"] if parser.has_section("run") else {}
         config = RunConfig(
             group=spec,
             name=name,
-            mode=bsec.get("mode", default_mode),
             radius=int(bsec.get("radius", "6")),
             hat_radius=int(bsec.get("hat_radius", bsec.get("radius", "6"))),
             ball_cap=int(bsec.get("ball_cap", DEFAULT_BALL_CAP)),
@@ -280,7 +281,7 @@ def _suite_oracle(config, spec, backend, hat_backend, shared) -> SuiteResult:
     if spec.is_standard:
         oracle = BfsBackend(spec, 2 * config.sample_radius, config.ball_cap)
         elems = list(ball(spec, config.sample_radius))
-        exact = ExactBackend(spec).distance_block(elems, elems)
+        exact = backend.distance_block(elems, elems)
         bad = int((exact != oracle.distance_block(elems, elems)).sum())
         examined += len(elems) ** 2
         mismatches += bad
@@ -548,6 +549,7 @@ _SUITE_RUNNERS = {
     "lifts": _suite_lifts,
     "thinness": _suite_thinness,
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def main(argv=None) -> int:

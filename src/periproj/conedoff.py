@@ -16,17 +16,19 @@ level over those ids and each coset's key, expanding each coset once.
 Window geodesics are enumerated by ``metric.dag_paths``, backward from the
 target over each vertex's predecessors; the deterministic window geodesic
 is the first path listed.
+A lift replaces each cone edge by the ``factor.greedy_moves`` geodesic in
+its coset over the moves lying in that factor (``GroupSpec.factor_moves``).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidFactorError, OutOfRangeError, UnsupportedMetricError
+from .factor import greedy_moves, word_lengths
 from .group import (
     DEFAULT_BALL_CAP,
     Element,
@@ -314,42 +316,17 @@ def lift(spec: GroupSpec, hat_path: HatPath) -> VertexPath:
 
 
 def _coset_geodesic(spec: GroupSpec, i: int, h1, h2):
-    """The (label, move) steps of a geodesic h1 -> h2 inside factor i."""
+    """The (label, move) steps of the greedy geodesic h1 -> h2 over the moves
+    in factor i: on the factor's word length, or, with extra generators in
+    it, on ``word_lengths`` of at most 100,000 elements (a direct ``lift``
+    call can reach an infinite factor)."""
     f = spec.factors[i]
-    extras = [
-        (name, w[0][1]) for name, w in spec.extra_generators if len(w) == 1 and w[0][0] == i
-    ]
-    if not extras:
+    moves = [(label, g, f.inv(g)) for _, label, g in spec.factor_moves(i)]
+    if len(moves) == len(f.moves()):
         return f.geodesic_moves(h1, h2)
-    moves = list(f.moves())
-    for name, g in extras:
-        for lab, coord in ((name, g), (name + "^-1", f.inv(g))):
-            if all(coord != c for _, c in moves):
-                moves.append((lab, coord))
-    # plain BFS over the intrinsic coset graph
-    start, goal = h1, h2
-    prev: dict = {start: None}
-    frontier = deque([start])
-    budget = 100_000
-    while frontier:
-        cur = frontier.popleft()
-        if cur == goal:
-            break
-        for lab, g in moves:
-            nxt = f.mul(cur, g)
-            if nxt not in prev:
-                if len(prev) >= budget:
-                    raise OutOfRangeError("in-coset geodesic search exceeded its budget")
-                prev[nxt] = (cur, (lab, g))
-                frontier.append(nxt)
-    if goal not in prev:
-        raise OutOfRangeError("in-coset geodesic not found within budget")
-    steps = []
-    cur = goal
-    while prev[cur] is not None:
-        cur, step = prev[cur]
-        steps.append(step)
-    return steps[::-1]
+    w = f.mul(f.inv(h1), h2)
+    lengths = word_lengths(f.identity, [g for _, g, _ in moves], f.mul, stop=w, budget=100_000)
+    return greedy_moves(w, moves, lengths.get, f.mul)
 
 
 def path_crossings(spec: GroupSpec, path: HatPath) -> dict:

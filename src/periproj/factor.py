@@ -6,8 +6,9 @@ labels, peripheral flag and config line (``kind``, ``syntax``, ``from_tokens``);
 everything above (free-product elements, metrics, cosets) talks to factors
 only through this interface.
 
-In-factor geodesics come from ``greedy_moves``, the one greedy walker, which
-``metric.BfsBackend`` also runs over a Cayley ball.
+``inverse_closed`` is the one rule for move tables.  In-factor geodesics
+come from ``greedy_moves``, the one greedy walker, which ``metric.BfsBackend``
+also runs over a Cayley ball and ``conedoff.lift`` over ``word_lengths``.
 
 Coordinates are kind-specific plain values: a residue in [0, n) for cyclic,
 an int for infinite cyclic, an (int, int) pair for rank-2 free abelian, and a
@@ -19,9 +20,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from functools import cached_property
 from pathlib import Path
 
-from .errors import ConfigError, InvalidFactorError, NormalFormError
+from .errors import ConfigError, InvalidFactorError, NormalFormError, OutOfRangeError
 
 
 class Factor:
@@ -63,19 +65,13 @@ class Factor:
         raise NotImplementedError
 
     def moves(self) -> list[tuple[str, object]]:
-        """Generators and their inverses as (label, coordinate), deduplicated.
+        """The (label, coordinate) moves: ``inverse_closed`` over the generators."""
+        return [(label, g) for label, g, _ in self._walk]
 
-        Order: for each generator label in declaration order, the generator
-        itself and then its inverse (labelled ``<gen>^-1``).
-        """
-        out: list[tuple[str, object]] = []
-        seen = set()
-        for label, g in self._generators():
-            for name, coord in ((label, g), (label + "^-1", self.inv(g))):
-                if coord not in seen:
-                    seen.add(coord)
-                    out.append((name, coord))
-        return out
+    @cached_property
+    def _walk(self) -> tuple[tuple[str, object, object], ...]:
+        """The moves as ``greedy_moves`` reads them, built once."""
+        return inverse_closed((label, g, self.inv(g)) for label, g in self._generators())
 
     def _generators(self) -> list[tuple[str, object]]:
         raise NotImplementedError
@@ -101,8 +97,7 @@ class Factor:
         length ``length(inv(x)*y)``, by ``greedy_moves``."""
         self.check_coord(x)
         self.check_coord(y)
-        moves = [(label, g, self.inv(g)) for label, g in self.moves()]
-        return greedy_moves(self.mul(self.inv(x), y), moves, self.length, self.mul)
+        return greedy_moves(self.mul(self.inv(x), y), self._walk, self.length, self.mul)
 
     def geodesic(self, x, y) -> list:
         """Vertex path from ``x`` to ``y`` along ``geodesic_moves``."""
@@ -343,8 +338,8 @@ class TableFactor(Factor):
         self.identity = self._find_identity()
         self._inverse = self._find_inverses()
         self._check_associative()
-        self._length = self._bfs_lengths()
-        if any(l is None for l in self._length):
+        self._length = word_lengths(self.identity, [g for _, g in self.moves()], self.mul)
+        if len(self._length) < n:
             raise InvalidFactorError("generator labels do not generate the table group")
 
     @classmethod
@@ -385,20 +380,6 @@ class TableFactor(Factor):
                             f"table is not associative at ({a},{b},{c})"
                         )
 
-    def _bfs_lengths(self) -> list:
-        lengths = [None] * self.n
-        lengths[self.identity] = 0
-        frontier = deque([self.identity])
-        move_coords = [g for _, g in self.moves()]
-        while frontier:
-            x = frontier.popleft()
-            for g in move_coords:
-                y = self.table[x][g]
-                if lengths[y] is None:
-                    lengths[y] = lengths[x] + 1
-                    frontier.append(y)
-        return lengths
-
     def check_coord(self, x) -> None:
         if not isinstance(x, int) or not 0 <= x < self.n:
             raise InvalidFactorError(f"table coordinate out of range: {x!r}")
@@ -419,7 +400,7 @@ class TableFactor(Factor):
         return [i for i in range(self.n) if self._length[i] == length]
 
     def diameter(self) -> int:
-        return max(self._length)
+        return max(self._length.values())
 
     def random_coord(self, rng, max_exponent: int):
         return rng.choice([i for i in range(self.n) if i != self.identity])
@@ -437,6 +418,39 @@ class TableFactor(Factor):
 
     def _key(self) -> tuple:
         return (self.table, tuple(sorted(self._gen_index.items())))
+
+
+def inverse_closed(generators) -> tuple[tuple[str, object, object], ...]:
+    """The move table of (label, g, inverse) ``generators``: each generator,
+    then its inverse (labelled ``<label>^-1``), skipping values already
+    listed.  Returns (label, move, inverse of the move) triples."""
+    out = []
+    seen = set()
+    for label, g, g_inv in generators:
+        for step in ((label, g, g_inv), (label + "^-1", g_inv, g)):
+            if step[1] not in seen:
+                seen.add(step[1])
+                out.append(step)
+    return tuple(out)
+
+
+def word_lengths(identity, moves, mul, stop=None, budget: int | None = None) -> dict:
+    """Word lengths over the ``moves`` by BFS from ``identity`` (``mul(x, g)``),
+    to the end or until ``stop`` is listed, with every element closer than
+    it; listing more than ``budget`` elements raises OutOfRangeError."""
+    lengths = {identity: 0}
+    frontier = deque([identity])
+    while frontier and stop not in lengths:
+        x = frontier.popleft()
+        d = lengths[x] + 1
+        for g in moves:
+            y = mul(x, g)
+            if y not in lengths:
+                if budget is not None and len(lengths) >= budget:
+                    raise OutOfRangeError(f"word-length search exceeded its budget of {budget}")
+                lengths[y] = d
+                frontier.append(y)
+    return lengths
 
 
 def greedy_moves(w, moves, length, left_mul) -> list[tuple[str, object]]:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BallBudgetError, InvalidFactorError, NormalFormError
-from .factor import Factor
+from .factor import Factor, inverse_closed
 
 Syllable = tuple  # (factor_index, coordinate)
 Element = tuple   # tuple of syllables
@@ -34,7 +34,8 @@ class GroupSpec:
     The standard generating set is the union of the factor generators.  Extra
     generators (given as already-normalized elements with names) extend the
     metric without changing the group, its cosets, or any set-theoretic
-    definition built on them.
+    definition built on them.  Whether the set is standard decides the
+    metric backend: closed forms for the standard set, a BFS ball otherwise.
     """
 
     def __init__(
@@ -73,24 +74,27 @@ class GroupSpec:
         return not self.extra_generators
 
     def _build_moves(self) -> tuple[tuple[str, Element], ...]:
-        moves: list[tuple[str, Element]] = []
-        seen: set[Element] = set()
-        for i, f in enumerate(self.factors):
-            for label, coord in f.moves():
-                elem = ((i, coord),)
-                if elem not in seen:
-                    seen.add(elem)
-                    moves.append((label, elem))
-        for name, elem in self.extra_generators:
-            for label, g in ((name, elem), (name + "^-1", inv(self, elem))):
-                if g not in seen:
-                    seen.add(g)
-                    moves.append((label, g))
-        return tuple(moves)
+        generators = [
+            (label, ((i, g),), ((i, f.inv(g)),))
+            for i, f in enumerate(self.factors)
+            for label, g in f._generators()
+        ]
+        generators += [(name, g, inv(self, g)) for name, g in self.extra_generators]
+        return tuple((label, g) for label, g, _ in inverse_closed(generators))
 
     def moves(self) -> tuple[tuple[str, Element], ...]:
-        """Generating set closed under inverses, as (label, element) pairs."""
+        """Generating set closed under inverses, as (label, element) pairs:
+        ``factor.inverse_closed`` over the factor generators, then the extras."""
         return self._moves
+
+    def factor_moves(self, i: int) -> list[tuple[int, str, object]]:
+        """The moves that lie in factor i, in generating-set order, as
+        (index in ``moves()``, label, coordinate)."""
+        return [
+            (k, label, g[0][1])
+            for k, (label, g) in enumerate(self._moves)
+            if len(g) == 1 and g[0][0] == i
+        ]
 
     def __repr__(self) -> str:
         kinds = " * ".join("/".join(f.labels) for f in self.factors)
@@ -332,7 +336,8 @@ class FactorCosets:
     def __init__(self, ball: Ball, i: int):
         n = len(ball)
         spec = ball.spec
-        in_factor = np.array([len(g) == 1 and g[0][0] == i for _, g in spec.moves()])
+        in_factor = np.zeros(len(spec.moves()), dtype=bool)
+        in_factor[[k for k, _, _ in spec.factor_moves(i)]] = True
         ids = np.arange(n)
         # a move inside H_i keeps the coset, and with it the parent's key
         inherit = np.zeros(n, dtype=bool)

@@ -16,7 +16,8 @@ The interface: ``distance`` and ``geodesic``; the blocks ``distance_block(xs,
 ys)`` and ``coset_distance_block(cosets, xs)`` as int32 arrays with -1 where a
 value is not certified; and the coset queries ``coset_points``,
 ``coset_minimizers``, ``project``, ``project_block`` and ``coset_distance``.
-Code outside this module never chooses between the two modes.
+The suites never choose between the two modes; the generating set picks the
+backend, and only the CLI's samplers and oracle suite differ by mode.
 
 Projection routes:
 

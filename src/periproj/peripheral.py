@@ -58,7 +58,6 @@ class Coset:
 @dataclass
 class ProjectionResult:
     point: Element
-    method: str
     witness: Optional[object] = None  # VertexPath or HatPath
 
 
@@ -143,7 +142,7 @@ def proj_entrypoint(
     path = backend.geodesic(x, target)
     for v in path.vertices:
         if dist_to_coset(spec, backend, P, v) <= enter_radius:
-            return ProjectionResult(v, "entry-point", path)
+            return ProjectionResult(v, path)
     raise AssertionError("geodesic to a coset point never entered its neighborhood")
 
 
@@ -152,7 +151,7 @@ def proj_conedoff(spec: GroupSpec, hat_backend, P: Coset, x: Element) -> Project
     path = hat_backend.geodesic(x, P.rep)
     for v in path.vertices:
         if contains(spec, P, v):
-            return ProjectionResult(v, "coned-off", path)
+            return ProjectionResult(v, path)
     raise AssertionError("coned-off geodesic to the coset never met it")
 
 

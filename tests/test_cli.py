@@ -99,17 +99,28 @@ def test_formula_suite_table(tmp_path):
     assert [r[0] for r in rows[1:]] == ["2", "4", "8"]
 
 
-def test_exact_mode_on_extended_rejected(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(
-        "[group]\n"
-        "factors =\n    cyclic 2 a\n    cyclic 3 b\n"
-        "peripheral = 0 1\n"
-        "extra_generators =\n    ab: a b\n"
-        "[backend]\nmode = exact\n"
-        "[run]\nsuites = oracle\n"
+@pytest.mark.parametrize("name, mode", [("c2c3.cfg", "exact"), ("c2c3-ext.cfg", "bfs")])
+def test_generating_set_decides_mode(tmp_path, name, mode):
+    # no config key picks the backend: the standard generating set runs on
+    # the closed forms, an extended one on a BFS ball
+    out = tmp_path / "rep"
+    assert main(["run", "--config", config_path(name), "--suite", "oracle", "--out", str(out)]) == 0
+    assert f"mode: {mode} (radius" in (out / "summary.txt").read_text().splitlines()[2]
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below_file"])
+def test_out_path_through_a_file_exit_two(tmp_path, capsys, sub):
+    # a file where the report directory would go is a config error found
+    # before any suite runs, not a failure after the suites
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n")
+    out = blocker / sub if sub else blocker
+    code = main(["run", "--config", config_path("c2c3.cfg"), "--suite", "oracle", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: report directory {out}: {blocker} is not a directory\n"
     )
-    assert main(["run", "--config", str(cfg)]) == 2
+    assert blocker.read_text() == "keep\n"
 
 
 def test_table_factor_config(tmp_path):
@@ -130,7 +141,7 @@ def test_table_factor_config(tmp_path):
         "name = s3xc2\n"
         f"factors =\n    table {table_file}\n    cyclic 2 c\n"
         "peripheral = 0\n"
-        "[backend]\nmode = exact\nradius = 4\nhat_radius = 4\n"
+        "[backend]\nradius = 4\nhat_radius = 4\n"
         "[run]\nsuites = oracle ap\nsample_radius = 3\ncoset_radius = 2\n"
     )
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")])
@@ -168,7 +179,7 @@ def test_ball_budget_exit_three(tmp_path):
         "factors =\n    cyclic 2 a\n    cyclic 3 b\n"
         "peripheral = 0 1\n"
         "extra_generators =\n    ab: a b\n"
-        "[backend]\nmode = bfs\nradius = 8\nball_cap = 10\n"
+        "[backend]\nradius = 8\nball_cap = 10\n"
         "[run]\nsuites = oracle\n"
     )
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 3
@@ -182,7 +193,7 @@ def test_ball_cap_bounds_sample_balls(tmp_path, capsys):
         "[group]\n"
         "factors =\n    z t\n    z2 u v\n"
         "peripheral = 1\n"
-        "[backend]\nmode = exact\nradius = 2\nhat_radius = 2\nball_cap = 100\n"
+        "[backend]\nradius = 2\nhat_radius = 2\nball_cap = 100\n"
         "[run]\nsuites = ap\nsample_radius = 4\n"
     )
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 3
@@ -212,7 +223,7 @@ def test_coned_off_suites_need_peripheral(tmp_path):
         "[group]\n"
         "factors =\n    cyclic 2 a\n    cyclic 3 b\n"
         "peripheral =\n"
-        "[backend]\nmode = exact\n"
+        "[backend]\n"
         "[run]\nsuites = formula\n"
     )
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
@@ -227,7 +238,7 @@ def test_unsupported_metric_in_run_exit_two(tmp_path, capsys):
         "factors =\n    z t\n    z2 u v\n"
         "peripheral = 1\n"
         "extra_generators =\n    tu: t u\n"
-        "[backend]\nmode = bfs\nradius = 3\n"
+        "[backend]\nradius = 3\n"
         "[run]\nsuites = oracle\n"
     )
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
@@ -350,7 +361,6 @@ extra_generators =
     ab: a b
 
 [backend]
-mode = bfs
 radius = 4
 hat_radius = 4
 

@@ -15,6 +15,7 @@ from periproj import (
     InfiniteCyclicFactor,
     FreeAbelianRank2Factor,
     OutOfRangeError,
+    TableFactor,
     UnsupportedMetricError,
     ball,
     check_bcp,
@@ -27,7 +28,15 @@ from periproj import (
     quasigeodesic_constants,
     random_element,
 )
-from periproj.conedoff import CAY, CONE, HatPath, _translate, hat_edge_str, path_crossings
+from periproj.conedoff import (
+    CAY,
+    CONE,
+    HatPath,
+    _coset_geodesic,
+    _translate,
+    hat_edge_str,
+    path_crossings,
+)
 from periproj.group import IDENTITY, sort_key
 from periproj.peripheral import contains, coset_of
 
@@ -133,6 +142,97 @@ def test_lift_uses_in_factor_extra_generators(k, labels):
     assert lifted.labels == labels
     assert lifted.start == x and lifted.end == y
     assert all(contains(spec, coset_of(spec, x, 0), v) for v in lifted.vertices)
+
+
+def _coset_geodesic_bfs(spec, i, h1, h2):
+    """The in-coset BFS that lifts ran before ``greedy_moves`` replaced it:
+    the factor's moves, then each extra generator in factor i and its
+    inverse, and a BFS from h1 with parent pointers."""
+    f = spec.factors[i]
+    extras = [
+        (name, w[0][1]) for name, w in spec.extra_generators if len(w) == 1 and w[0][0] == i
+    ]
+    moves = list(f.moves())
+    for name, g in extras:
+        for lab, coord in ((name, g), (name + "^-1", f.inv(g))):
+            if all(coord != c for _, c in moves):
+                moves.append((lab, coord))
+    prev = {h1: None}
+    frontier = deque([h1])
+    while frontier:
+        cur = frontier.popleft()
+        if cur == h2:
+            break
+        for lab, g in moves:
+            nxt = f.mul(cur, g)
+            if nxt not in prev:
+                prev[nxt] = (cur, (lab, g))
+                frontier.append(nxt)
+    steps = []
+    cur = h2
+    while prev[cur] is not None:
+        cur, step = prev[cur]
+        steps.append(step)
+    return steps[::-1]
+
+
+def _sym_table(n):
+    """Sym(n) as a multiplication table; composition left to right."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(q[p[j]] for j in range(n))] for q in perms] for p in perms]
+    return table, index
+
+
+def _in_factor_cases():
+    """(spec, factor index, coordinates) with extra generators in that factor."""
+    for n in range(5, 13):
+        factors = [CyclicFactor(2, "a", peripheral=True), CyclicFactor(n, "b", peripheral=True)]
+        base = GroupSpec(factors)
+        for k in range(2, n - 1):
+            w = ("w", parse_element(base, f"b^{k}"))
+            for extras in ([w], [("ab", parse_element(base, "a b")), w]):
+                yield GroupSpec(factors, extra_generators=extras), 1, range(n)
+    s3, i3 = _sym_table(3)
+    s4, i4 = _sym_table(4)
+    for table, index, gens in (
+        (s3, i3, {"s": i3[(1, 0, 2)], "r": i3[(1, 2, 0)]}),
+        (s4, i4, {"s": i4[(1, 0, 2, 3)], "r": i4[(1, 2, 3, 0)]}),
+    ):
+        factors = [TableFactor(table, gens, peripheral=True), CyclicFactor(2, "c")]
+        others = [x for x in range(len(table)) if x != factors[0].identity]
+        chosen = [[x] for x in others] + [list(p) for p in itertools.combinations(others[:6], 2)]
+        for extra in chosen:
+            extras = [(f"w{j}", ((0, x),)) for j, x in enumerate(extra)]
+            yield GroupSpec(factors, extra_generators=extras), 0, range(len(table))
+
+
+def test_coset_geodesic_matches_bfs_reference():
+    # both walkers return the shortlex-least geodesic word over the same
+    # ordered moves: every (h1, h2) of C5..C12 with an extra b^k (with and
+    # without the word extra ab listed first), and of S3 and S4 with one or
+    # two extras in the table factor
+    pairs = 0
+    for spec, i, coords in _in_factor_cases():
+        for h1 in coords:
+            for h2 in coords:
+                assert _coset_geodesic(spec, i, h1, h2) == _coset_geodesic_bfs(spec, i, h1, h2)
+                pairs += 1
+    assert pairs > 18_000
+
+
+def test_coset_geodesic_budget():
+    # an extra generator in an infinite peripheral factor: a direct lift
+    # reaches the factor, and a far target exhausts the search budget
+    factors = [InfiniteCyclicFactor("t", peripheral=True), CyclicFactor(2, "a")]
+    spec = GroupSpec(factors, extra_generators=[("w", parse_element(GroupSpec(factors), "t^3"))])
+    near = parse_element(spec, "t^8")
+    assert _coset_geodesic(spec, 0, 0, 8) == _coset_geodesic_bfs(spec, 0, 0, 8)
+    cone = [(CONE, coset_of(spec, IDENTITY, 0))]
+    assert lift(spec, HatPath([IDENTITY, near], cone)).labels == ["t", "t", "w", "w"]
+    far = parse_element(spec, "t^1000000")
+    with pytest.raises(OutOfRangeError):
+        lift(spec, HatPath([IDENTITY, far], cone))
 
 
 def test_enumerate_geodesics_deterministic(zxz2, zxz2_hat5):

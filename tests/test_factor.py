@@ -272,3 +272,46 @@ def test_geodesic_moves_match_greedy_reference(factor):
     for x in pts:
         for y in pts:
             assert factor.geodesic_moves(x, y) == _greedy_factor_moves(factor, x, y)
+
+
+def _bfs_lengths_reference(f):
+    """The BFS ``TableFactor`` ran for its word lengths before ``word_lengths``."""
+    lengths = [None] * f.n
+    lengths[f.identity] = 0
+    frontier = [f.identity]
+    while frontier:
+        x = frontier.pop(0)
+        for _, g in f.moves():
+            y = f.table[x][g]
+            if lengths[y] is None:
+                lengths[y] = lengths[x] + 1
+                frontier.append(y)
+    return lengths
+
+
+def _sym_table(n):
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(q[p[i]] for i in range(n))] for q in perms] for p in perms], index
+
+
+S4, S4_INDEX = _sym_table(4)
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [TableFactor(S3, S3_GENS), TableFactor(S3, {"r": S3_GENS["r"], "s": S3_GENS["s"]}),
+     TableFactor(C6, {"g": 1}), TableFactor(C6, {"g": 2, "h": 3}),
+     TableFactor(S4, {"s": S4_INDEX[(1, 0, 2, 3)], "r": S4_INDEX[(1, 2, 3, 0)]}),
+     TableFactor(S4, {"x": S4_INDEX[(1, 0, 2, 3)], "y": S4_INDEX[(0, 2, 1, 3)],
+                      "z": S4_INDEX[(0, 1, 3, 2)]})],
+    ids=["s3", "s3_rs", "c6", "c6_two_gens", "s4", "s4_coxeter"],
+)
+def test_table_lengths_match_reference(factor):
+    reference = _bfs_lengths_reference(factor)
+    assert [factor.length(x) for x in range(factor.n)] == reference
+    assert factor.diameter() == max(reference)
+    for level in range(max(reference) + 1):
+        assert factor.elements_of_length(level) == [
+            x for x in range(factor.n) if reference[x] == level
+        ]

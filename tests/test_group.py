@@ -5,6 +5,7 @@ import itertools
 import random
 import weakref
 from collections import deque
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from periproj import (
     parse_element,
     random_element,
 )
+from periproj.cli import parse_config
 from periproj.group import IDENTITY, mul_syllable
 from periproj.verify import random_element_by_length
 
@@ -398,3 +400,74 @@ def test_random_draws_pinned_per_kind(kind):
     by_length = [element_str(spec, random_element_by_length(spec, rng, 3, 4)) for _ in range(20)]
     assert " | ".join(plain) == expected_plain
     assert " | ".join(by_length) == expected_by_length
+
+
+def _factor_moves_reference(f):
+    """The loop ``Factor.moves`` ran before ``inverse_closed``."""
+    out, seen = [], set()
+    for label, g in f._generators():
+        for name, coord in ((label, g), (label + "^-1", f.inv(g))):
+            if coord not in seen:
+                seen.add(coord)
+                out.append((name, coord))
+    return out
+
+
+def _spec_moves_reference(spec):
+    """The loop ``GroupSpec`` built its moves with before ``inverse_closed``."""
+    moves, seen = [], set()
+    for i, f in enumerate(spec.factors):
+        for label, coord in _factor_moves_reference(f):
+            elem = ((i, coord),)
+            if elem not in seen:
+                seen.add(elem)
+                moves.append((label, elem))
+    for name, elem in spec.extra_generators:
+        for label, g in ((name, elem), (name + "^-1", inv(spec, elem))):
+            if g not in seen:
+                seen.add(g)
+                moves.append((label, g))
+    return moves
+
+
+def _in_factor_moves_reference(spec, i):
+    """The loop lifts listed a factor's moves with, before
+    ``GroupSpec.factor_moves``: the factor's moves, then each extra in it."""
+    f = spec.factors[i]
+    moves = _factor_moves_reference(f)
+    for name, w in spec.extra_generators:
+        if len(w) == 1 and w[0][0] == i:
+            for lab, coord in ((name, w[0][1]), (name + "^-1", f.inv(w[0][1]))):
+                if all(coord != c for _, c in moves):
+                    moves.append((lab, coord))
+    return moves
+
+
+def _move_table_specs():
+    configs = resources.files("periproj") / "configs"
+    for name in ("c2c3.cfg", "zxz2.cfg", "c2c3-ext.cfg"):
+        yield name, parse_config(str(configs / name)).group
+    for name, n, words in (
+        ("extra equal to a factor generator", 3, [("w", "b")]),
+        ("order-2 extra", 4, [("w", "b^2")]),
+        ("word extra before a single syllable", 5, [("ab", "a b"), ("w", "b^2")]),
+    ):
+        factors = [CyclicFactor(2, "a"), CyclicFactor(n, "b")]
+        base = GroupSpec(factors)
+        yield name, GroupSpec(factors, [(g, parse_element(base, w)) for g, w in words])
+    s3 = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
+          [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]
+    factors = [TableFactor(s3, {"s": 1, "r": 3}), CyclicFactor(2, "c")]
+    yield "table extras", GroupSpec(factors, [("w", ((0, 2),)), ("x", ((0, 4),))])
+
+
+@pytest.mark.parametrize("name, spec", list(_move_table_specs()))
+def test_move_tables_match_reference(name, spec):
+    # one rule for the factor, spec and in-factor move tables: each
+    # generator, then its inverse, skipping values already listed
+    assert list(spec.moves()) == _spec_moves_reference(spec)
+    for i, f in enumerate(spec.factors):
+        assert list(f.moves()) == _factor_moves_reference(f)
+        in_factor = spec.factor_moves(i)
+        assert [(label, g) for _, label, g in in_factor] == _in_factor_moves_reference(spec, i)
+        assert all(spec.moves()[k] == (label, ((i, g),)) for k, label, g in in_factor)
