@@ -115,11 +115,34 @@ def _parse_factors(lines: str):
     return factors
 
 
+# the sections and keys that ``parse_config`` reads; any other is an error
+CONFIG_KEYS = {
+    "group": {"name", "factors", "peripheral", "extra_generators"},
+    "backend": {"radius", "hat_radius", "ball_cap"},
+    "run": {"suites", "thresholds", "samples", "seed", "sample_radius", "coset_radius", "out"},
+}
+
+
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    """Raise ConfigError naming the first section or key not in ``CONFIG_KEYS``;
+    a [DEFAULT] key would reach every section, so none is read."""
+    for key in parser.defaults():
+        raise ConfigError(f"unknown key {key!r} in section [{parser.default_section}]")
+    for section in parser.sections():
+        known = CONFIG_KEYS.get(section)
+        if known is None:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in parser[section]:
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+
+
 def parse_config(path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path):
             raise ConfigError(f"config file not found: {path}")
+        _check_keys(parser)
         gsec = parser["group"]
         factors = _parse_factors(gsec.get("factors", ""))
         peripheral = [int(tok) for tok in gsec.get("peripheral", "").split()]

@@ -160,11 +160,10 @@ class ConedOffBackend:
         self.gtable = ball(self.spec, radius, cap)
         self._steps = self.gtable.complete()
         self._cosets = [self.gtable.cosets(i) for i in self.spec.peripheral_indices]
-        moves = self.spec.moves()
-        column = {g: k for k, (_, g) in enumerate(moves)}
         # (label, column of the inverse move): u -> v along a move is v's
         # neighbour u along the inverse move
-        self._back = [(label, column[inv(self.spec, g)]) for label, g in moves]
+        labels = [label for label, _ in self.spec.moves()]
+        self._back = list(zip(labels, self.spec.inverse_moves()))
         self.hat_table = IdTable(self.gtable.index, self._hat_bfs().tolist())
         self._pred_cache: dict = {}
 

@@ -84,6 +84,17 @@ class Factor:
         """Max word length over the factor, or None when infinite."""
         raise NotImplementedError
 
+    def bipartite(self) -> bool:
+        """Whether the Cayley graph over ``moves()`` is bipartite, i.e. no move
+        joins two elements of the same word length; a finite factor checks
+        every element against every move."""
+        return all(
+            self.length(self.mul(x, g)) != n
+            for n in range(self.diameter() + 1)
+            for x in self.elements_of_length(n)
+            for _, g in self.moves()
+        )
+
     def random_coord(self, rng, max_exponent: int):
         """A seeded nontrivial coordinate, exponents bounded by ``max_exponent``."""
         raise NotImplementedError
@@ -219,6 +230,9 @@ class InfiniteCyclicFactor(Factor):
     def diameter(self) -> None:
         return None
 
+    def bipartite(self) -> bool:
+        return True  # every move changes the L1 length by exactly 1
+
     def random_coord(self, rng, max_exponent: int):
         mag = rng.randint(1, max_exponent)
         return mag if rng.random() < 0.5 else -mag
@@ -278,6 +292,9 @@ class FreeAbelianRank2Factor(Factor):
     def diameter(self) -> None:
         return None
 
+    def bipartite(self) -> bool:
+        return True  # every move changes the L1 length by exactly 1
+
     def random_coord(self, rng, max_exponent: int):
         """Uniform over the nonzero points of the box [-m, m]^2."""
         while True:
@@ -336,6 +353,9 @@ class TableFactor(Factor):
         self._gen_index = dict(generators)
         self.peripheral = bool(peripheral)
         self.identity = self._find_identity()
+        for label, idx in generators.items():
+            if idx == self.identity:
+                raise InvalidFactorError(f"generator {label} is the identity")
         self._inverse = self._find_inverses()
         self._check_associative()
         self._length = word_lengths(self.identity, [g for _, g in self.moves()], self.mul)

@@ -67,25 +67,37 @@ class GroupSpec:
         self.peripheral_indices = tuple(
             i for i, f in enumerate(self.factors) if f.peripheral
         )
-        self._moves = self._build_moves()
+        self._moves, self._inverse_moves = self._build_moves()
+        # a homomorphism onto Z/2 that sends every move to 1 exists exactly
+        # when every factor graph is bipartite and every extra has odd length
+        self.bipartite = all(f.bipartite() for f in self.factors) and all(
+            syllable_length(self, g) % 2 for _, g in self.extra_generators
+        )
 
     @property
     def is_standard(self) -> bool:
         return not self.extra_generators
 
-    def _build_moves(self) -> tuple[tuple[str, Element], ...]:
+    def _build_moves(self) -> tuple[tuple[tuple[str, Element], ...], tuple[int, ...]]:
         generators = [
             (label, ((i, g),), ((i, f.inv(g)),))
             for i, f in enumerate(self.factors)
             for label, g in f._generators()
         ]
         generators += [(name, g, inv(self, g)) for name, g in self.extra_generators]
-        return tuple((label, g) for label, g, _ in inverse_closed(generators))
+        table = inverse_closed(generators)
+        column = {g: k for k, (_, g, _) in enumerate(table)}
+        moves = tuple((label, g) for label, g, _ in table)
+        return moves, tuple(column[g_inv] for _, _, g_inv in table)
 
     def moves(self) -> tuple[tuple[str, Element], ...]:
         """Generating set closed under inverses, as (label, element) pairs:
         ``factor.inverse_closed`` over the factor generators, then the extras."""
         return self._moves
+
+    def inverse_moves(self) -> tuple[int, ...]:
+        """The index in ``moves()`` of each move's inverse."""
+        return self._inverse_moves
 
     def factor_moves(self, i: int) -> list[tuple[int, str, object]]:
         """The moves that lie in factor i, in generating-set order, as
@@ -213,8 +225,9 @@ class Ball(IdTable):
     ``spec.moves()``), so that ``elements[id] = elements[parent] * move``.
     The neighbour id of every move is recorded for the elements the BFS
     expanded, those at distance below ``radius``; ``complete`` adds the last
-    level, whose neighbours only the coned-off window needs.  The ids make
-    ``walk`` and the coset index (``cosets``) array reads.
+    level, whose neighbours only the coned-off window needs, from the
+    recorded edges into it and, unless ``spec.bipartite``, from products.
+    The ids make ``walk`` and the coset index (``cosets``) array reads.
     """
 
     def __init__(self, spec: GroupSpec, radius: int, cap: int):
@@ -264,15 +277,33 @@ class Ball(IdTable):
 
     def complete(self) -> np.ndarray:
         """Neighbour ids (one column per move, -1 outside the ball) of every
-        element, recording those of the last level on the first call."""
-        n = len(self.index)
-        if self._known < n:
-            products, columns = _right_products(self.spec)
-            get = self.index.get
-            last = array("i")
-            for x in self.elements[self._known:]:
-                last.extend([get(y, -1) for y in products(x)])
-            self._steps = np.concatenate([self._steps[:-1], _steps_table(last, columns)])
+        element, recording those of the last level on the first call.
+
+        The BFS recorded every edge y -> x from level radius - 1 into the
+        last level, so x's neighbour along the inverse move is y: one scatter
+        fills those cells.  On a bipartite generating set no two last-level
+        elements are adjacent and every other neighbour lies outside the
+        ball, so the scatter is the whole answer; otherwise each last-level
+        row is the product of the element with every move.
+        """
+        n, known = len(self.index), self._known
+        if known < n:
+            spec = self.spec
+            old = self._steps
+            steps = np.full((n + 1, old.shape[1]), -1, dtype=np.intc)
+            steps[:known] = old[:known]
+            # only level radius - 1 has edges into the last level
+            lo = int(np.searchsorted(self.dist, self.radius - 1))
+            rows, cols = np.nonzero(old[lo:known] >= known)
+            steps[old[lo + rows, cols], np.array(spec.inverse_moves())[cols]] = lo + rows
+            if not spec.bipartite:  # edges inside the last level
+                products, columns = _right_products(spec)
+                get = self.index.get
+                last = array("i")
+                for x in self.elements[known:]:
+                    last.extend([get(y, -1) for y in products(x)])
+                steps[known:] = _steps_table(last, columns)
+            self._steps = steps
             self._known = n
         return self._steps[:-1]
 

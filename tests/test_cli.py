@@ -496,6 +496,31 @@ def test_malformed_config_exit_two(tmp_path, capsys, data):
     assert not (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("[backend]\nradious = 3\n", "unknown key 'radious' in section [backend]"),
+        ("[bogus]\nradius = 3\n", "unknown section [bogus]"),
+        ("[backend]\nmode = exact\n", "unknown key 'mode' in section [backend]"),
+        ("[DEFAULT]\nseed = 3\n", "unknown key 'seed' in section [DEFAULT]"),
+    ],
+    ids=["misspelt_key", "unknown_section", "stale_mode", "default_section"],
+)
+def test_unknown_config_key_exit_two(tmp_path, capsys, extra, message):
+    # a key or section the parser does not read would otherwise run silently
+    # with the defaults: exit 2 with one line naming it, before any suite
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        "[group]\nfactors =\n    cyclic 2 a\n    cyclic 3 b\nperipheral = 0 1\n"
+        "extra_generators =\n    ab: a b\n"
+        "[run]\nsuites = oracle\n"
+        f"{extra}"
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="known false positive of the thinness flag (ROADMAP item 2): at seed 104 "

@@ -169,6 +169,13 @@ def test_table_rejects_non_generating():
         TableFactor(c4, {"g": 2})
 
 
+def test_table_rejects_identity_generator():
+    # a generator at the identity index is a loop edge and would put the
+    # non-normal syllable ((i, e),) among the spec's moves
+    with pytest.raises(InvalidFactorError, match="^generator e0 is the identity$"):
+        TableFactor([[0, 1], [1, 0]], {"e0": 0, "a": 1})
+
+
 def test_cyclic_needs_order_two():
     with pytest.raises(InvalidFactorError):
         CyclicFactor(1, "g")
@@ -224,6 +231,26 @@ def test_factors_of_different_kinds_unequal():
     c2 = CyclicFactor(2, "a")
     table = TableFactor([[0, 1], [1, 0]], {"a": 1})
     assert c2 != table and table != c2
+
+
+@pytest.mark.parametrize(
+    "factor, bipartite",
+    [(CyclicFactor(2, "c"), True), (CyclicFactor(6, "c"), True), (CyclicFactor(5, "c"), False),
+     (InfiniteCyclicFactor("t"), True), (FreeAbelianRank2Factor("u", "v"), True),
+     (TableFactor(S3, {"s": S3_INDEX[(1, 0, 2)], "x": S3_INDEX[(0, 2, 1)]}), True),
+     (TableFactor(S3, S3_GENS), False), (TableFactor(C6, {"g": 1}), True),
+     (TableFactor(C6, {"g": 2, "h": 3}), False)],
+    ids=["c2", "c6", "c5", "z", "z2", "s3_transpositions", "s3", "c6_table", "c6_table_two_gens"],
+)
+def test_bipartite_matches_odd_cycle_scan(factor, bipartite):
+    # a Cayley graph is bipartite exactly when no move joins two elements of
+    # one BFS level; scan the level sets up to length 4
+    levels = [factor.elements_of_length(n) for n in range(5)]
+    same_level = any(
+        factor.mul(x, g) in level for level in levels for x in level for _, g in factor.moves()
+    )
+    assert factor.bipartite() is bipartite
+    assert same_level is not bipartite
 
 
 @pytest.mark.parametrize(

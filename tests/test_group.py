@@ -206,6 +206,51 @@ def test_ball_matches_dict_bfs(request, name, radius):
         assert steps[j].tolist() == [got.id_of(mul(spec, x, g)) for g in moves]
 
 
+def _completion_specs():
+    """(name, spec, radius, bipartite): generating sets on both sides of the
+    parity criterion, at radii where the non-bipartite balls have edges
+    inside their last level."""
+    c4c6 = [CyclicFactor(4, "a"), CyclicFactor(6, "b")]
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(q[p[i]] for i in range(3))] for q in perms] for p in perms]
+    s3 = TableFactor(table, {"s": index[(1, 0, 2)], "x": index[(0, 2, 1)]})
+    c3c5 = [CyclicFactor(3, "a"), CyclicFactor(5, "b")]
+    zz2 = [InfiniteCyclicFactor("t"), FreeAbelianRank2Factor("u", "v")]
+
+    def extended(factors, name, word):
+        return GroupSpec(factors, [(name, parse_element(GroupSpec(factors), word))])
+
+    yield "c4*c6", GroupSpec(c4c6), 6, True
+    yield "s3*c2", GroupSpec([s3, CyclicFactor(2, "c")]), 8, True
+    yield "z*z2+tuv", extended(zz2, "tuv", "t u v"), 4, True
+    yield "c3*c5+aba", extended(c3c5, "aba", "a b a"), 5, False
+    yield "z*z2+tu", extended(zz2, "tu", "t u"), 4, False
+
+
+@pytest.mark.parametrize(
+    "spec, radius, bipartite",
+    [case[1:] for case in _completion_specs()],
+    ids=[case[0] for case in _completion_specs()],
+)
+def test_complete_matches_product_loop(spec, radius, bipartite):
+    # the scatter of the inward edges (and, off bipartite sets, the product
+    # loop) gives the product loop's neighbour ids cell by cell
+    got = ball(spec, radius)
+    moves = [g for _, g in spec.moves()]
+    reference = [[got.id_of(mul(spec, x, g)) for g in moves] for x in got.elements]
+    assert got.complete().tolist() == reference
+    # the parity criterion holds exactly when no move joins two elements of
+    # one level; off it, the last level has such edges for the loop to find
+    level = got.dist.tolist()
+    inner = {
+        level[j] for j, row in enumerate(reference) for k in row if k >= 0 and level[k] == level[j]
+    }
+    assert spec.bipartite is bipartite
+    assert (not inner) is bipartite
+    assert bipartite or radius in inner
+
+
 def test_backends_share_one_ball(zxz2):
     # a fresh spec: no other test holds its balls
     spec = GroupSpec(list(zxz2.factors), name="zxz2")
