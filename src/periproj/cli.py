@@ -5,6 +5,9 @@ parameters, executes the selected suites, and writes one CSV per suite plus
 a structured-text summary.  Identical (config, seed) pairs produce
 byte-identical reports: all sampling is seeded and nothing timestamped.
 
+Every suite takes the run's one ``Workspace``, where the generating set
+picks the metric backend and the samplers once for all suites.
+
 Exit codes: 0 clean; 1 theorem violation; 2 config error; 3 resource or
 certification budget exceeded; 4 internal error (an unexpected exception,
 with its traceback on stderr).
@@ -20,6 +23,7 @@ import random
 import sys
 import traceback
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (
@@ -73,9 +77,11 @@ class RunConfig:
     def validate(self) -> None:
         if not self.suites:
             raise ConfigError("no suites selected")
-        for s in self.suites:
+        for i, s in enumerate(self.suites):
             if s not in SUITES:
                 raise ConfigError(f"unknown suite: {s!r} (choose from {', '.join(SUITES)})")
+            if s in self.suites[:i]:
+                raise ConfigError(f"suite listed twice: {s!r}")
         if self.radius < 1 or self.sample_radius < 1:
             raise ConfigError("radii must be positive")
         for key in ("hat_radius", "coset_radius"):
@@ -187,13 +193,69 @@ def parse_config(path: str | Path) -> RunConfig:
 
 @dataclass
 class SuiteResult:
-    name: str
     rows: list
     header: list
     summary: list
     violations: int = 0
     examined: int = 0
     skipped: int = 0
+
+
+class Workspace:
+    """What the suites of one run share, built once before the first suite.
+
+    The generating set picks the metric ``backend`` (the closed forms or the
+    BFS ball of ``radius``) and the samplers ``pairs`` and ``triangles``;
+    ``hat`` is the coned-off backend when the spec has peripheral factors.
+    Every sample ball lies in ball(max(``sample_radius``, ``coset_radius``)):
+    ``balls`` holds it and every smaller one for the run, built largest first
+    under ``ball_cap``, so a suite's ball() of those radii never rebuilds one.
+    """
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.spec = spec = config.group
+        self.backend = (
+            ExactBackend(spec)
+            if config.mode == "exact"
+            else BfsBackend(spec, config.radius, config.ball_cap)
+        )
+        self.hat = None
+        if spec.peripheral_indices:
+            self.hat = ConedOffBackend(spec, radius=config.hat_radius, cap=config.ball_cap)
+        top = max(config.sample_radius, config.coset_radius)
+        self.balls = [ball(spec, r, config.ball_cap) for r in range(top, -1, -1)]
+
+    @cached_property
+    def dstg(self):
+        """The ambient constants, estimated on first use (dstg and formula read them)."""
+        return estimate_dstg_constants(
+            self.spec, self.backend, min(self.config.sample_radius, 3), self.hat
+        )
+
+    def pairs(self, rng, n, max_syllables, max_syllable_len) -> list:
+        """``n`` seeded pairs whose group distances the backend certifies:
+        free-form words in exact mode, pairs from ball(radius // 2) in BFS
+        mode.  Coned-off distances are not bounded: in extended mode
+        ``ConedOffBackend`` refuses a pair whose coned-off distance times the
+        largest peripheral diameter exceeds ``hat_radius``, and the suites
+        count such pairs as skipped."""
+        if self.config.mode == "exact":
+            return seeded_pairs(self.spec, rng, n, max_syllables, max_syllable_len)
+        return self._tuples(rng, n, 2)
+
+    def triangles(self, rng) -> list:
+        """``samples`` seeded triangles: free-form in exact mode, from
+        ball(radius // 3) in BFS mode."""
+        if self.config.mode == "exact":
+            return triangle_sample(self.spec, rng, self.config.samples)
+        return self._tuples(rng, self.config.samples, 3)
+
+    def _tuples(self, rng, n, k) -> list:
+        """``n`` seeded k-tuples of elements of ball(radius // k), so that
+        the BFS backend certifies the distance between any two."""
+        elems = list(ball(self.spec, self.config.radius // k, self.config.ball_cap))
+        return [tuple(elems[rng.randrange(len(elems))] for _ in range(k)) for _ in range(n)]
 
 
 def run(config: RunConfig) -> int:
@@ -203,10 +265,6 @@ def run(config: RunConfig) -> int:
     fails later keeps them; its ``summary.txt`` then covers the finished
     suites and ends with a line naming the failing suite and the reason.
     The report directory is created only once a suite has finished.
-
-    Every sample ball a suite builds lies in ball(max(``sample_radius``,
-    ``coset_radius``)), built under ``ball_cap`` before the suites and held
-    for the run, so the cap bounds them all.
     """
     try:
         config.validate()
@@ -214,29 +272,14 @@ def run(config: RunConfig) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    spec = config.group
-    results: list[SuiteResult] = []
-    violations = 0
+    results: dict[str, SuiteResult] = {}
     suite = message = None
     try:
-        backend = (
-            ExactBackend(spec)
-            if config.mode == "exact"
-            else BfsBackend(spec, config.radius, config.ball_cap)
-        )
-        hat_backend = None
-        if spec.peripheral_indices:
-            hat_backend = ConedOffBackend(spec, radius=config.hat_radius, cap=config.ball_cap)
-        # held for the run, so that a later ball() of this radius reuses it
-        sample_ball = ball(spec, max(config.sample_radius, config.coset_radius), config.ball_cap)
-        shared: dict = {}  # results several suites read, computed once per run
+        workspace = Workspace(config)
         for suite in config.suites:
-            runner = _SUITE_RUNNERS[suite]
-            result = runner(config, spec, backend, hat_backend, shared)
-            results.append(result)
-            violations += result.violations
+            result = results[suite] = _SUITE_RUNNERS[suite](workspace)
             config.out_dir.mkdir(parents=True, exist_ok=True)
-            _write_csv(config.out_dir / f"{result.name}.csv", result.header, result.rows)
+            _write_csv(config.out_dir / f"{suite}.csv", result.header, result.rows)
     except TheoremViolationError as exc:
         code, message = 1, f"theorem violation: {exc}"
     except BallBudgetError as exc:
@@ -255,10 +298,10 @@ def run(config: RunConfig) -> int:
         return code
     _write_summary(config, results)
 
-    if violations:
+    if any(r.violations for r in results.values()):
         return 1
-    skipped = sum(r.skipped for r in results)
-    total = skipped + sum(r.examined for r in results)
+    skipped = sum(r.skipped for r in results.values())
+    total = skipped + sum(r.examined for r in results.values())
     if total and skipped / total > SKIP_TOLERANCE:
         print(f"certification budget exceeded: {skipped} of {total} configurations skipped",
               file=sys.stderr)
@@ -273,7 +316,7 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_summary(config: RunConfig, results, failure: str | None = None) -> None:
+def _write_summary(config: RunConfig, results: dict, failure: str | None = None) -> None:
     lines = [
         f"group: {config.name}",
         f"config: {Path(config.source).name}",
@@ -281,8 +324,8 @@ def _write_summary(config: RunConfig, results, failure: str | None = None) -> No
         f"seed: {config.seed}",
         "",
     ]
-    for result in results:
-        lines.append(f"[{result.name}]")
+    for name, result in results.items():
+        lines.append(f"[{name}]")
         lines.extend(result.summary)
         lines.append(
             f"census: examined={result.examined} skipped={result.skipped} "
@@ -297,14 +340,15 @@ def _write_summary(config: RunConfig, results, failure: str | None = None) -> No
 # --- suites -----------------------------------------------------------------
 
 
-def _suite_oracle(config, spec, backend, hat_backend, shared) -> SuiteResult:
+def _suite_oracle(ws: Workspace) -> SuiteResult:
+    config, spec = ws.config, ws.spec
     rows = []
     mismatches = 0
     examined = 0
-    if spec.is_standard:
+    elems = list(ball(spec, config.sample_radius))
+    if config.mode == "exact":
         oracle = BfsBackend(spec, 2 * config.sample_radius, config.ball_cap)
-        elems = list(ball(spec, config.sample_radius))
-        exact = backend.distance_block(elems, elems)
+        exact = ws.backend.distance_block(elems, elems)
         bad = int((exact != oracle.distance_block(elems, elems)).sum())
         examined += len(elems) ** 2
         mismatches += bad
@@ -322,8 +366,7 @@ def _suite_oracle(config, spec, backend, hat_backend, shared) -> SuiteResult:
             rows.append(["hat_formula_vs_bfs", count, bad])
     else:
         # extended mode: metric axioms on certified data
-        elems = list(ball(spec, config.sample_radius))
-        d = backend.distance_block(elems, elems)
+        d = ws.backend.distance_block(elems, elems)
         certified = (d >= 0) & (d.T >= 0)
         count = int(certified.sum())
         bad = int((certified & (d != d.T)).sum())
@@ -331,7 +374,6 @@ def _suite_oracle(config, spec, backend, hat_backend, shared) -> SuiteResult:
         mismatches += bad
         examined += count
     return SuiteResult(
-        name="oracle",
         rows=rows,
         header=["check", "pairs", "mismatches"],
         summary=[f"{r[0]}: {r[2]} mismatches over {r[1]} pairs" for r in rows],
@@ -340,8 +382,9 @@ def _suite_oracle(config, spec, backend, hat_backend, shared) -> SuiteResult:
     )
 
 
-def _suite_ap(config, spec, backend, hat_backend, shared) -> SuiteResult:
-    report = check_ap_axioms(spec, backend, config.sample_radius, config.coset_radius)
+def _suite_ap(ws: Workspace) -> SuiteResult:
+    config = ws.config
+    report = check_ap_axioms(ws.spec, ws.backend, config.sample_radius, config.coset_radius)
     rows = [
         [axiom, report.constants[axiom], report.examined[axiom],
          json.dumps(report.witnesses.get(axiom, {}), sort_keys=True)]
@@ -355,7 +398,6 @@ def _suite_ap(config, spec, backend, hat_backend, shared) -> SuiteResult:
         f"equivalence tracks: {report.equivalence}",
     ]
     return SuiteResult(
-        name="ap",
         rows=rows,
         header=["axiom", "constant", "examined", "witness"],
         summary=summary,
@@ -364,21 +406,17 @@ def _suite_ap(config, spec, backend, hat_backend, shared) -> SuiteResult:
     )
 
 
-def _ap_constant(config, spec, backend) -> int:
-    return check_ap_axioms(
-        spec, backend, config.sample_radius, config.coset_radius
-    ).projection_constant
-
-
-def _suite_battery(config, spec, backend, hat_backend, shared) -> SuiteResult:
-    c = _ap_constant(config, spec, backend)
+def _suite_battery(ws: Workspace) -> SuiteResult:
+    config = ws.config
+    ap = check_ap_axioms(ws.spec, ws.backend, config.sample_radius, config.coset_radius)
+    c = ap.projection_constant
     plan = SamplePlan(
         seed=config.seed,
         n_pairs=config.samples,
         sample_radius=min(config.sample_radius, 3),
         coset_radius=min(config.coset_radius, 2),
     )
-    report = lemma_battery(spec, backend, c, plan, hat_backend)
+    report = lemma_battery(ws.spec, ws.backend, c, plan, ws.hat)
     rows = [
         [row.name, row.examined, row.skipped, row.violations,
          row.min_margin if row.min_margin is not None else "",
@@ -386,7 +424,6 @@ def _suite_battery(config, spec, backend, hat_backend, shared) -> SuiteResult:
         for row in report.rows.values()
     ]
     return SuiteResult(
-        name="battery",
         rows=rows,
         header=["lemma", "examined", "skipped", "violations", "min_margin", "witness"],
         summary=[f"C = {c}", f"total examined = {report.total_examined}"],
@@ -396,17 +433,8 @@ def _suite_battery(config, spec, backend, hat_backend, shared) -> SuiteResult:
     )
 
 
-def _dstg_constants(config, spec, backend, hat_backend, shared):
-    """The run's dstg constants, estimated on first use and kept in ``shared``."""
-    if "dstg" not in shared:
-        shared["dstg"] = estimate_dstg_constants(
-            spec, backend, min(config.sample_radius, 3), hat_backend
-        )
-    return shared["dstg"]
-
-
-def _suite_dstg(config, spec, backend, hat_backend, shared) -> SuiteResult:
-    consts = _dstg_constants(config, spec, backend, hat_backend, shared)
+def _suite_dstg(ws: Workspace) -> SuiteResult:
+    consts = ws.dstg
     rows = [["m", consts.m, consts.examined["m"]]]
     for h, b in sorted(consts.b_by_h.items()):
         rows.append([f"b{h}", b, consts.examined["b"]])
@@ -418,7 +446,6 @@ def _suite_dstg(config, spec, backend, hat_backend, shared) -> SuiteResult:
         rows.append([f"entry{depth}", e, consts.examined["entry"]])
     rows.append(["hat_entry", consts.hat_entry_m, consts.examined["hat_entry"]])
     return SuiteResult(
-        name="dstg",
         rows=rows,
         header=["constant", "value", "examined"],
         summary=[f"{r[0]} = {r[1]}" for r in rows],
@@ -427,36 +454,17 @@ def _suite_dstg(config, spec, backend, hat_backend, shared) -> SuiteResult:
     )
 
 
-def _ball_tuples(config, spec, rng, n, k):
-    """``n`` seeded k-tuples of elements of ball(radius // k): the BFS-mode
-    samples, pairs (k = 2, whose distance is then within ``radius``) and
-    triangles (k = 3)."""
-    elems = list(ball(spec, config.radius // k, config.ball_cap))
-    return [tuple(elems[rng.randrange(len(elems))] for _ in range(k)) for _ in range(n)]
-
-
-def _certified_pairs(config, spec, rng, n, max_syllables, max_syllable_len):
-    """Pair sample whose group distances the backend certifies: free-form
-    in exact mode, drawn from the half-radius ball in BFS mode.  Coned-off
-    distances are not bounded: in extended mode ``ConedOffBackend`` refuses
-    a pair whose coned-off distance times the largest peripheral diameter
-    exceeds ``hat_radius``, and the suites count such pairs as skipped."""
-    if config.mode == "exact":
-        return seeded_pairs(spec, rng, n, max_syllables, max_syllable_len)
-    return _ball_tuples(config, spec, rng, n, 2)
-
-
-def _suite_formula(config, spec, backend, hat_backend, shared) -> SuiteResult:
-    consts = _dstg_constants(config, spec, backend, hat_backend, shared)
-    rng = random.Random(config.seed)
-    pairs = _certified_pairs(config, spec, rng, config.samples, 10, 12)
+def _suite_formula(ws: Workspace) -> SuiteResult:
+    config, spec = ws.config, ws.spec
+    consts = ws.dstg
+    pairs = ws.pairs(random.Random(config.seed), config.samples, 10, 12)
     sigma, entry_m = consts.sigma_by_d[0], consts.entry_m_by_d[0]
     evals = []
     skipped = 0
     for x, y in pairs:
         try:
             evals.append(distance_formula(
-                spec, x, y, config.thresholds, backend, hat_backend,
+                spec, x, y, config.thresholds, ws.backend, ws.hat,
                 sigma=sigma, entry_m=entry_m,
             ))
         except OutOfRangeError:
@@ -468,7 +476,6 @@ def _suite_formula(config, spec, backend, hat_backend, shared) -> SuiteResult:
         for row in fit_formula_constants(spec, evals, config.thresholds)
     ]
     return SuiteResult(
-        name="formula",
         rows=rows_out,
         header=["L", "lambda", "mu", "witness"],
         summary=[f"L={r[0]}: lambda={r[1]} mu={r[2]}" for r in rows_out]
@@ -478,8 +485,9 @@ def _suite_formula(config, spec, backend, hat_backend, shared) -> SuiteResult:
     )
 
 
-def _suite_bcp(config, spec, backend, hat_backend, shared) -> SuiteResult:
-    targets = list(ball(spec, min(config.sample_radius, config.hat_radius)))
+def _suite_bcp(ws: Workspace) -> SuiteResult:
+    config = ws.config
+    targets = list(ball(ws.spec, min(config.sample_radius, config.hat_radius)))
     max_c1 = 0
     max_c2 = 0
     pairs = 0
@@ -487,7 +495,7 @@ def _suite_bcp(config, spec, backend, hat_backend, shared) -> SuiteResult:
     skipped = 0
     for w in targets:
         try:
-            report = check_bcp(spec, hat_backend, backend, (), w, 10_000)
+            report = check_bcp(ws.spec, ws.hat, ws.backend, (), w, 10_000)
         except OutOfRangeError:
             skipped += 1
             continue
@@ -497,7 +505,6 @@ def _suite_bcp(config, spec, backend, hat_backend, shared) -> SuiteResult:
         max_c2 = max(max_c2, report.max_clause2)
     rows = [[len(targets), pairs, max_c1, max_c2, truncated]]
     return SuiteResult(
-        name="bcp",
         rows=rows,
         header=["targets", "geodesic_pairs", "max_clause1", "max_clause2", "truncated"],
         summary=[
@@ -509,16 +516,15 @@ def _suite_bcp(config, spec, backend, hat_backend, shared) -> SuiteResult:
     )
 
 
-def _suite_lifts(config, spec, backend, hat_backend, shared) -> SuiteResult:
-    rng = random.Random(config.seed)
-    pairs = _certified_pairs(config, spec, rng, config.samples, 4, 4)
+def _suite_lifts(ws: Workspace) -> SuiteResult:
+    pairs = ws.pairs(random.Random(ws.config.seed), ws.config.samples, 4, 4)
     max_mu = 0
     count = 0
     skipped = 0
     for x, y in pairs:
         try:
-            lifted = lift(spec, hat_backend.geodesic(x, y))
-            _, mu = quasigeodesic_constants(lifted, backend)
+            lifted = lift(ws.spec, ws.hat.geodesic(x, y))
+            _, mu = quasigeodesic_constants(lifted, ws.backend)
         except OutOfRangeError:
             skipped += 1
             continue
@@ -526,7 +532,6 @@ def _suite_lifts(config, spec, backend, hat_backend, shared) -> SuiteResult:
         max_mu = max(max_mu, mu)
     rows = [[count, 1, max_mu, skipped]]
     return SuiteResult(
-        name="lifts",
         rows=rows,
         header=["lifts", "lambda", "max_mu", "skipped"],
         summary=[f"{count} lifts: (lambda, mu) = (1, {max_mu})"],
@@ -535,13 +540,9 @@ def _suite_lifts(config, spec, backend, hat_backend, shared) -> SuiteResult:
     )
 
 
-def _suite_thinness(config, spec, backend, hat_backend, shared) -> SuiteResult:
-    rng = random.Random(config.seed)
-    if config.mode == "exact":
-        triangles = triangle_sample(spec, rng, config.samples)
-    else:
-        triangles = _ball_tuples(config, spec, rng, config.samples, 3)
-    report = thinness_scan(spec, backend, 1, triangles)
+def _suite_thinness(ws: Workspace) -> SuiteResult:
+    triangles = ws.triangles(random.Random(ws.config.seed))
+    report = thinness_scan(ws.spec, ws.backend, 1, triangles)
     bins: dict = {}
     for row in report.rows:
         entry = bins.setdefault(row.depth, [0, 0])
@@ -549,7 +550,6 @@ def _suite_thinness(config, spec, backend, hat_backend, shared) -> SuiteResult:
         entry[1] = max(entry[1], row.delta)
     rows = [[depth, count, max_delta] for depth, (count, max_delta) in sorted(bins.items())]
     return SuiteResult(
-        name="thinness",
         rows=rows,
         header=["depth", "triangles", "max_delta"],
         summary=[
@@ -609,11 +609,8 @@ def main(argv=None) -> int:
             config = replace(config, seed=args.seed)
         if args.out:
             config = replace(config, out_dir=Path(args.out))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except PeriprojError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     return run(config)

@@ -3,16 +3,20 @@
 import csv
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 
 import pytest
 
-from periproj import cli
+from periproj import cli, group
 from periproj.cli import main, parse_config
 from periproj.errors import ConfigError, OutOfRangeError, TheoremViolationError
+from periproj.group import ball
+from periproj.verify import seeded_pairs, triangle_sample
 
 
 def config_path(name: str) -> str:
@@ -451,9 +455,17 @@ def test_failure_keeps_finished_suite_reports(tmp_path, capsys, monkeypatch):
          "bad config {cfg}: invalid literal for int() with base 10: 'x'"),
         ("table {missing}", "",
          "bad table factor file '{missing}': [Errno 2] No such file or directory: '{missing}'"),
+        ("cyclic 1 a", "", "cyclic factor needs order >= 2, got 1"),
+        ("", "", "a free product needs at least 2 factors"),
+        ("cyclic 2 a\n    cyclic 5 a", "", "duplicate generator label: 'a'"),
+        ("cyclic 2 a", "extra_generators =\n    a: a b\n",
+         "extra generator name clashes: 'a'"),
+        ("cyclic 2 a", "extra_generators =\n    ab: a q\n", "unknown generator label: 'q'"),
     ],
     ids=["cyclic_arity", "z_arity", "z2_arity", "table_arity", "unknown_kind",
-         "peripheral_index", "extra_without_colon", "cyclic_order", "table_unreadable"],
+         "peripheral_index", "extra_without_colon", "cyclic_order", "table_unreadable",
+         "cyclic_order_one", "single_factor", "label_in_two_factors", "extra_name_clash",
+         "extra_unknown_label"],
 )
 def test_bad_group_config_exit_two(tmp_path, capsys, factors, extra, message):
     # each bad [group] line ends with exit 2 and one stderr line, before any
@@ -470,6 +482,77 @@ def test_bad_group_config_exit_two(tmp_path, capsys, factors, extra, message):
     expected = message.format(cfg=cfg, missing=missing)
     assert capsys.readouterr().err == f"config error: {expected}\n"
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_suite_listed_twice_exit_two(tmp_path, capsys, where):
+    # a repeated suite would write its CSV and its summary section twice and
+    # count twice in the skip census
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(
+        "[group]\nfactors =\n    cyclic 2 a\n    cyclic 3 b\nperipheral = 0 1\n"
+        "[run]\nsuites = oracle ap ap\n"
+    )
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]
+    if where == "flag":
+        argv[3:3] = ["--suite", "ap,oracle,ap"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: suite listed twice: 'ap'\n"
+    assert not (tmp_path / "rep").exists()
+
+
+# The samplers the workspace replaced, kept as references: the mode decided
+# the draw in each of them.
+def _ball_tuples(config, spec, rng, n, k):
+    elems = list(ball(spec, config.radius // k, config.ball_cap))
+    return [tuple(elems[rng.randrange(len(elems))] for _ in range(k)) for _ in range(n)]
+
+
+def _certified_pairs(config, spec, rng, n, max_syllables, max_syllable_len):
+    if config.mode == "exact":
+        return seeded_pairs(spec, rng, n, max_syllables, max_syllable_len)
+    return _ball_tuples(config, spec, rng, n, 2)
+
+
+def _thinness_triangles(config, spec, rng):
+    if config.mode == "exact":
+        return triangle_sample(spec, rng, config.samples)
+    return _ball_tuples(config, spec, rng, config.samples, 3)
+
+
+@pytest.mark.parametrize("name", ["c2c3.cfg", "c2c3-ext.cfg"])
+def test_workspace_samples_match_reference(name):
+    # the same samples from the same RNG draws, in exact and in BFS mode
+    config = parse_config(config_path(name))
+    workspace = cli.Workspace(config)
+    n = config.samples
+    for seed in (3, 7):
+        for sizes in ((10, 12), (4, 4)):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert workspace.pairs(rng, n, *sizes) == _certified_pairs(
+                config, config.group, ref_rng, n, *sizes
+            )
+            assert rng.getstate() == ref_rng.getstate()
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert workspace.triangles(rng) == _thinness_triangles(config, config.group, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_each_ball_built_once_per_run(tmp_path, monkeypatch):
+    # the workspace holds every sample ball for the run, so no suite
+    # rebuilds one; the hat window's ball(6) and the oracle's ball(8) are
+    # the only larger ones
+    built = Counter()
+    real = group.Ball.__init__
+
+    def counting(self, spec, radius, cap):
+        built[radius] += 1
+        real(self, spec, radius, cap)
+
+    monkeypatch.setattr(group.Ball, "__init__", counting)
+    code = main(["run", "--config", config_path("zxz2.cfg"), "--out", str(tmp_path / "rep")])
+    assert code == 0
+    assert built == {r: 1 for r in (0, 1, 2, 3, 4, 6, 8)}
 
 
 @pytest.mark.parametrize(
