@@ -40,7 +40,6 @@ from .metric import (
 )
 from .peripheral import (
     Coset,
-    ProjectionResult,
     coset_of,
     coset_str,
     cosets_meeting_ball,
@@ -53,7 +52,6 @@ from .peripheral import (
 from .conedoff import (
     BcpReport,
     ConedOffBackend,
-    HatPath,
     check_bcp,
     dist_hat,
     geodesic_hat,

@@ -92,9 +92,11 @@ class RunConfig:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         if "formula" in self.suites and not self.thresholds:
             raise ConfigError("the formula suite needs at least one threshold")
-        for t in self.thresholds:
+        for i, t in enumerate(self.thresholds):
             if t < 0:
                 raise ConfigError(f"thresholds must be nonnegative, got {t}")
+            if t in self.thresholds[:i]:
+                raise ConfigError(f"threshold listed twice: {t}")
         needs_peripheral = {"formula", "bcp", "lifts"} & set(self.suites)
         if needs_peripheral and not self.group.peripheral_indices:
             raise ConfigError(
@@ -542,7 +544,7 @@ def _suite_lifts(ws: Workspace) -> SuiteResult:
 
 def _suite_thinness(ws: Workspace) -> SuiteResult:
     triangles = ws.triangles(random.Random(ws.config.seed))
-    report = thinness_scan(ws.spec, ws.backend, 1, triangles)
+    report = thinness_scan(ws.spec, ws.backend, triangles)
     bins: dict = {}
     for row in report.rows:
         entry = bins.setdefault(row.depth, [0, 0])

@@ -15,15 +15,15 @@ with the neighbour ids of its last level; the coned-off BFS runs level by
 level over those ids and each coset's key, expanding each coset once.
 Window geodesics are enumerated by ``metric.dag_paths``, backward from the
 target over each vertex's predecessors; the deterministic window geodesic
-is the first path listed.
-A lift replaces each cone edge by the ``factor.greedy_moves`` geodesic in
-its coset over the moves lying in that factor (``GroupSpec.factor_moves``).
+is the first path listed.  A lift replaces each cone edge of a path (a
+``metric.VertexPath`` edge that is a ``Coset``) by the ``factor.greedy_moves``
+geodesic in it over the moves lying in that factor (``GroupSpec.factor_moves``).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,40 +43,6 @@ from .group import (
 )
 from .metric import VertexPath, dag_paths
 from .peripheral import Coset, coset_member, coset_of, coset_str, member_coord
-
-CAY = "cay"
-CONE = "cone"
-
-
-@dataclass
-class HatPath:
-    """An edge path in the coned-off graph.
-
-    ``edges[j]`` connects ``vertices[j]`` to ``vertices[j+1]`` and is either
-    ``(CAY, label)`` or ``(CONE, coset)``.
-    """
-
-    vertices: list
-    edges: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return max(0, len(self.vertices) - 1)
-
-    @property
-    def start(self) -> Element:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> Element:
-        return self.vertices[-1]
-
-
-def hat_edge_str(spec: GroupSpec, edge) -> str:
-    kind, payload = edge
-    if kind == CAY:
-        return f"cay:{payload}"
-    return f"cone:H{payload.factor_index}@{element_str(spec, payload.rep)}"
-
 
 def _require_peripheral(spec: GroupSpec) -> None:
     if not spec.peripheral_indices:
@@ -99,7 +65,7 @@ def dist_hat(spec: GroupSpec, x: Element, y: Element) -> int:
     )
 
 
-def geodesic_hat(spec: GroupSpec, x: Element, y: Element) -> HatPath:
+def geodesic_hat(spec: GroupSpec, x: Element, y: Element) -> VertexPath:
     """Canonical coned-off geodesic: one cone edge per long peripheral syllable.
 
     Length-1 peripheral syllables tie between a Cayley edge and a cone edge;
@@ -115,15 +81,15 @@ def geodesic_hat(spec: GroupSpec, x: Element, y: Element) -> HatPath:
     for fi, coord in w:
         f = spec.factors[fi]
         if fi in spec.peripheral_indices and f.length(coord) > 1:
-            edges.append((CONE, coset_of(spec, cur, fi)))
+            edges.append(coset_of(spec, cur, fi))
             cur = mul_syllable(spec, cur, fi, coord)
             vertices.append(cur)
             continue
         for label, g in f.geodesic_moves(f.identity, coord):
             cur = mul_syllable(spec, cur, fi, g)
-            edges.append((CAY, label))
+            edges.append(label)
             vertices.append(cur)
-    return HatPath(vertices, edges)
+    return VertexPath(vertices, edges)
 
 
 class ConedOffBackend:
@@ -211,12 +177,12 @@ class ConedOffBackend:
             raise OutOfRangeError("target outside the window")
         return d
 
-    def geodesic(self, x: Element, y: Element) -> HatPath:
+    def geodesic(self, x: Element, y: Element) -> VertexPath:
         """The canonical geodesic in standard mode; in extended mode the
         first geodesic that ``enumerate_geodesics`` lists."""
         if self.exact:
             return geodesic_hat(self.spec, x, y)
-        return self._geodesics(x, y, 1)[0][0]
+        return self.enumerate_geodesics(x, y, 1)[0][0]
 
     def _predecessors(self, v: Element, d: int):
         """(u, edge u->v) pairs over the shortest-path DAG, deterministically:
@@ -234,7 +200,7 @@ class ConedOffBackend:
         for label, back in self._back:
             u = row[back]
             if u >= 0 and hat[u] == d - 1:
-                out.append((elements[u], (CAY, label)))
+                out.append((elements[u], label))
         for i, cosets in zip(spec.peripheral_indices, self._cosets):
             coset = coset_of(spec, v, i)
             members = [
@@ -242,22 +208,20 @@ class ConedOffBackend:
                 if u != j and hat[u] == d - 1
             ]
             for u in sorted(members, key=lambda p: sort_key(spec, p)):
-                out.append((u, (CONE, coset)))
+                out.append((u, coset))
         self._pred_cache[v] = out
         return out
 
-    def enumerate_geodesics(self, x: Element, y: Element, cap: int) -> tuple[list[HatPath], bool]:
-        """All coned-off geodesics from x to y visible in the window, up to ``cap``.
+    def enumerate_geodesics(self, x: Element, y: Element,
+                            cap: int) -> tuple[list[VertexPath], bool]:
+        """All coned-off geodesics from x to y visible in the window, up to
+        ``cap``: ``dag_paths`` backward from x^-1 y over ``_predecessors``,
+        each path reversed and translated by x.
 
         In standard mode the windowed distance is asserted against the closed
         form first, so every enumerated path is a true geodesic (geodesics
         leaving the window are not seen; callers report the window radius).
         """
-        return self._geodesics(x, y, cap)
-
-    def _geodesics(self, x: Element, y: Element, cap: int) -> tuple[list[HatPath], bool]:
-        """``dag_paths`` backward from x^-1 y over ``_predecessors``, each
-        path reversed and translated by x."""
         spec = self.spec
         if self.exact:
             d = self.window_distance(x, y)
@@ -268,27 +232,24 @@ class ConedOffBackend:
         w = mul(spec, inv(spec, x), y)
         found, truncated = dag_paths(w, d, self._predecessors, cap)
         paths = [
-            _translate(spec, HatPath(vertices[::-1], edges[::-1]), x)
+            _translate(spec, VertexPath(vertices[::-1], edges[::-1]), x)
             for vertices, edges in found
         ]
         return paths, truncated
 
 
-def _translate(spec: GroupSpec, path: HatPath, x: Element) -> HatPath:
+def _translate(spec: GroupSpec, path: VertexPath, x: Element) -> VertexPath:
     """Left-translate an identity-based path by x (cone cosets translate too)."""
     if not x:
         return path
     vertices = [mul(spec, x, v) for v in path.vertices]
-    edges = []
-    for kind, payload in path.edges:
-        if kind == CONE:
-            payload = coset_of(spec, mul(spec, x, payload.rep), payload.factor_index)
-        edges.append((kind, payload))
-    return HatPath(vertices, edges)
+    edges = [coset_of(spec, mul(spec, x, e.rep), e.factor_index) if isinstance(e, Coset)
+             else e for e in path.edges]
+    return VertexPath(vertices, edges)
 
 
-def lift(spec: GroupSpec, hat_path: HatPath) -> VertexPath:
-    """Replace each cone edge by a geodesic inside its coset; keep Cayley edges.
+def lift(spec: GroupSpec, hat_path: VertexPath) -> VertexPath:
+    """Replace each cone edge (a ``Coset``) by a geodesic inside it; keep labels.
 
     In-coset geodesics use the factor's own generators plus any extra
     generators that happen to lie in that factor, so lifts are honest paths
@@ -297,18 +258,17 @@ def lift(spec: GroupSpec, hat_path: HatPath) -> VertexPath:
     vertices = [hat_path.start]
     labels: list[str] = []
     cur = hat_path.start
-    for (kind, payload), tail in zip(hat_path.edges, hat_path.vertices[1:]):
-        if kind == CAY:
+    for edge, tail in zip(hat_path.edges, hat_path.vertices[1:]):
+        if not isinstance(edge, Coset):
             cur = tail
             vertices.append(cur)
-            labels.append(payload)
+            labels.append(edge)
             continue
-        coset = payload
-        i = coset.factor_index
-        h = member_coord(spec, coset, cur)
-        for lab, g in _coset_geodesic(spec, i, h, member_coord(spec, coset, tail)):
+        i = edge.factor_index
+        h = member_coord(spec, edge, cur)
+        for lab, g in _coset_geodesic(spec, i, h, member_coord(spec, edge, tail)):
             h = spec.factors[i].mul(h, g)
-            cur = coset_member(spec, coset, h)
+            cur = coset_member(spec, edge, h)
             vertices.append(cur)
             labels.append(lab)
     return VertexPath(vertices, labels)
@@ -328,17 +288,18 @@ def _coset_geodesic(spec: GroupSpec, i: int, h1, h2):
     return greedy_moves(w, moves, lengths.get, f.mul)
 
 
-def path_crossings(spec: GroupSpec, path: HatPath) -> dict:
+def path_crossings(spec: GroupSpec, path: VertexPath) -> dict:
     """Per-coset entry/exit vertices of a coned-off path.
 
-    An edge counts as crossing P iff both endpoints lie in P; this includes
-    length-1 peripheral Cayley edges (recorded convention).  Entry is the
-    first such edge's tail, exit the last such edge's head.
+    An edge counts as crossing P iff both endpoints lie in P: a cone edge its
+    ``Coset``, and a length-1 peripheral Cayley edge the coset it stays in
+    (recorded convention).  Entry is the first such edge's tail, exit the
+    last such edge's head.
     """
     crossings: dict[Coset, tuple[Element, Element]] = {}
-    for (kind, payload), u, v in zip(path.edges, path.vertices, path.vertices[1:]):
-        if kind == CONE:
-            hits = [payload]
+    for edge, u, v in zip(path.edges, path.vertices, path.vertices[1:]):
+        if isinstance(edge, Coset):
+            hits = [edge]
         else:
             hits = []
             for i in spec.peripheral_indices:

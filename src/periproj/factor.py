@@ -153,7 +153,7 @@ class CyclicFactor(Factor):
     def __init__(self, n: int, label: str, peripheral: bool = False):
         if n < 2:
             raise InvalidFactorError(f"cyclic factor needs order >= 2, got {n}")
-        _check_label(label)
+        check_label(label)
         self.n = n
         self.labels = (label,)
         self.peripheral = bool(peripheral)
@@ -202,7 +202,7 @@ class InfiniteCyclicFactor(Factor):
     identity = 0
 
     def __init__(self, label: str, peripheral: bool = False):
-        _check_label(label)
+        check_label(label)
         self.labels = (label,)
         self.peripheral = bool(peripheral)
 
@@ -249,8 +249,8 @@ class FreeAbelianRank2Factor(Factor):
     identity = (0, 0)
 
     def __init__(self, label1: str, label2: str, peripheral: bool = False):
-        _check_label(label1)
-        _check_label(label2)
+        check_label(label1)
+        check_label(label2)
         if label1 == label2:
             raise InvalidFactorError("rank-2 factor needs two distinct labels")
         self.labels = (label1, label2)
@@ -344,7 +344,7 @@ class TableFactor(Factor):
         if not generators:
             raise InvalidFactorError("table factor needs at least one generator label")
         for label, idx in generators.items():
-            _check_label(label)
+            check_label(label)
             if not 0 <= idx < n:
                 raise InvalidFactorError(f"generator {label} index {idx} out of range")
         self.table = tbl
@@ -496,7 +496,7 @@ def greedy_moves(w, moves, length, left_mul) -> list[tuple[str, object]]:
     return steps
 
 
-def _check_label(label: str) -> None:
+def check_label(label: str) -> None:
     if not label or not label[0].isalpha() or not label.replace("_", "").isalnum():
         raise InvalidFactorError(f"invalid generator label: {label!r}")
 

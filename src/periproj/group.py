@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BallBudgetError, InvalidFactorError, NormalFormError
-from .factor import Factor, inverse_closed
+from .factor import Factor, check_label, inverse_closed
 
 Syllable = tuple  # (factor_index, coordinate)
 Element = tuple   # tuple of syllables
@@ -56,6 +56,7 @@ class GroupSpec:
                 seen_labels.add(label)
         extras = []
         for gen_name, elem in extra_generators:
+            check_label(gen_name)
             if gen_name in seen_labels:
                 raise InvalidFactorError(f"extra generator name clashes: {gen_name!r}")
             seen_labels.add(gen_name)

@@ -72,10 +72,12 @@ from .peripheral import Coset, coset_member, coset_of, gate_point
 
 @dataclass
 class VertexPath:
-    """An edge path in a Cayley graph: vertices plus per-edge generator labels."""
+    """An edge path of the Cayley or coned-off graph: ``edges[j]``, a Cayley
+    edge's generator label or the ``Coset`` a cone edge crosses, joins
+    ``vertices[j]`` to ``vertices[j+1]``."""
 
     vertices: list
-    labels: list = field(default_factory=list)
+    edges: list = field(default_factory=list)
 
     def __len__(self) -> int:
         return max(0, len(self.vertices) - 1)
@@ -95,13 +97,13 @@ def geodesic_exact(spec: GroupSpec, x: Element, y: Element) -> VertexPath:
         raise UnsupportedMetricError("exact geodesics require the standard generating set")
     w = mul(spec, inv(spec, x), y)
     vertices = [x]
-    labels: list[str] = []
+    edges: list[str] = []
     for fi, coord in w:
         f = spec.factors[fi]
         for label, g in f.geodesic_moves(f.identity, coord):
             vertices.append(mul_syllable(spec, vertices[-1], fi, g))
-            labels.append(label)
-    return VertexPath(vertices, labels)
+            edges.append(label)
+    return VertexPath(vertices, edges)
 
 
 # cells per row chunk of a prefix block: bounds the int64 scratch arrays
@@ -437,11 +439,11 @@ class BfsBackend:
         if w not in table:
             raise OutOfRangeError(f"pair at distance > {self.radius}")
         vertices = [x]
-        labels: list[str] = []
+        edges: list[str] = []
         for label, g in greedy_moves(w, self._moves, table.get, lambda a, b: mul(spec, a, b)):
             vertices.append(mul(spec, vertices[-1], g))
-            labels.append(label)
-        return VertexPath(vertices, labels)
+            edges.append(label)
+        return VertexPath(vertices, edges)
 
 
 def quasigeodesic_constants(path: VertexPath, backend) -> tuple[int, int]:
@@ -511,4 +513,4 @@ def enumerate_geodesics(backend, x: Element, y: Element, cap: int) -> tuple[list
                 yield nxt, label
 
     found, truncated = dag_paths(x, backend.distance(x, y), steps, cap)
-    return [VertexPath(v, labels) for v, labels in found], truncated
+    return [VertexPath(v, edges) for v, edges in found], truncated

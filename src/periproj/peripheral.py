@@ -21,9 +21,9 @@ Projection routes:
   seen, or OutOfRangeError is raised.  With a BFS backend the minimizers are
   the first ball members of x^-1 P in BFS order, translated by x, and
   ``BfsBackend.project`` returns the least of them.
-* ``proj_entrypoint`` / ``proj_conedoff``: first path vertex entering a
+* ``proj_entrypoint`` / ``proj_conedoff``: the first path vertex entering a
   neighborhood of the coset, along a metric geodesic or a coned-off geodesic
-  (the paper's alternative projections).
+  (the paper's alternative projections); each returns that vertex alone.
 
 ``projection`` and ``dist_to_coset`` are the scalar canonical projection
 point and d(x, P), answered by the backend; the ``dstg`` and ``formula``
@@ -33,7 +33,6 @@ suites use them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvalidFactorError
 from .group import (
@@ -53,12 +52,6 @@ class Coset:
 
     factor_index: int
     rep: Element
-
-
-@dataclass
-class ProjectionResult:
-    point: Element
-    witness: Optional[object] = None  # VertexPath or HatPath
 
 
 def coset_of(spec: GroupSpec, x: Element, i: int) -> Coset:
@@ -132,7 +125,7 @@ def proj_entrypoint(
     x: Element,
     target: Element,
     enter_radius: int,
-) -> ProjectionResult:
+) -> Element:
     """First vertex of the backend geodesic x -> target within ``enter_radius`` of P.
 
     ``target`` must lie in P, so the entry vertex always exists.
@@ -142,16 +135,16 @@ def proj_entrypoint(
     path = backend.geodesic(x, target)
     for v in path.vertices:
         if dist_to_coset(spec, backend, P, v) <= enter_radius:
-            return ProjectionResult(v, path)
+            return v
     raise AssertionError("geodesic to a coset point never entered its neighborhood")
 
 
-def proj_conedoff(spec: GroupSpec, hat_backend, P: Coset, x: Element) -> ProjectionResult:
+def proj_conedoff(spec: GroupSpec, hat_backend, P: Coset, x: Element) -> Element:
     """First vertex of a coned-off geodesic from x to P that lies in P."""
     path = hat_backend.geodesic(x, P.rep)
     for v in path.vertices:
         if contains(spec, P, v):
-            return ProjectionResult(v, path)
+            return v
     raise AssertionError("coned-off geodesic to the coset never met it")
 
 

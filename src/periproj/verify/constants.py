@@ -230,7 +230,7 @@ def _measure_entry(spec, backend, hat_backend, xs, cosets, witnesses, examined):
             for x in xs:
                 try:
                     pix = projection(spec, backend, P, x)
-                    entry = proj_entrypoint(spec, backend, P, x, P.rep, depth).point
+                    entry = proj_entrypoint(spec, backend, P, x, P.rep, depth)
                     d = backend.distance(entry, pix)
                 except OutOfRangeError:
                     continue
@@ -243,7 +243,7 @@ def _measure_entry(spec, backend, hat_backend, xs, cosets, witnesses, examined):
                     }
                 if depth == 0 and hat_backend is not None:
                     try:
-                        first = proj_conedoff(spec, hat_backend, P, x).point
+                        first = proj_conedoff(spec, hat_backend, P, x)
                         hd = backend.distance(first, pix)
                     except OutOfRangeError:
                         continue

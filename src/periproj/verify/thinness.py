@@ -1,7 +1,7 @@
 """Triangle thinness versus coset penetration at a fixed neighborhood scale.
 
 For each sampled geodesic triangle the scan records D, the largest diameter
-of a side's stay inside the K-neighborhood of any nearby peripheral coset
+of a side's stay inside the ``K``-neighborhood of any nearby peripheral coset
 (penetration depth), and delta, the thinness of the triangle (worst distance
 from a side vertex to the union of the other two sides).  The fitted slope is
 the worst delta / max(D, 1); a family whose delta grows while D stays bounded
@@ -21,6 +21,9 @@ from ..group import GroupSpec, ball, mul
 from ..peripheral import cosets_meeting_ball
 from .sampling import random_element_by_length
 
+# the neighborhood scale: a vertex v is near a coset P when d(v, P) <= K
+K = 1
+
 
 @dataclass
 class ThinnessRow:
@@ -32,8 +35,6 @@ class ThinnessRow:
 
 @dataclass
 class ThinnessReport:
-    group: str
-    k: int
     rows: list = field(default_factory=list)
     skipped: int = 0
     flagged: list = field(default_factory=list)
@@ -69,9 +70,9 @@ def triangle_sample(
     return triangles
 
 
-def thinness_scan(spec: GroupSpec, backend, k: int, triangles) -> ThinnessReport:
-    report = ThinnessReport(group=spec.name or repr(spec), k=k)
-    nbhd = list(ball(spec, k)) if spec.peripheral_indices else [()]
+def thinness_scan(spec: GroupSpec, backend, triangles) -> ThinnessReport:
+    report = ThinnessReport()
+    nbhd = list(ball(spec, K)) if spec.peripheral_indices else [()]
     for tri in triangles:
         x, y, z = tri
         try:
@@ -84,7 +85,7 @@ def thinness_scan(spec: GroupSpec, backend, k: int, triangles) -> ThinnessReport
             spans = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
             verts = [v for side in sides for v in side]
             dmat = backend.distance_block(verts, verts)
-            depth = _penetration(spec, backend, verts, spans, dmat, k, nbhd)
+            depth = _penetration(spec, backend, verts, spans, dmat, nbhd)
             delta = _thinness(spans, dmat)
         except OutOfRangeError:
             report.skipped += 1
@@ -100,12 +101,12 @@ def _refuse_if_uncertified(block) -> None:
         raise OutOfRangeError("triangle distance not certified by this backend")
 
 
-def _penetration(spec, backend, verts, spans, dmat, k, nbhd) -> int:
-    """Max over sides and nearby cosets of diam(N_k(P) intersect side).
+def _penetration(spec, backend, verts, spans, dmat, nbhd) -> int:
+    """Max over sides and nearby cosets of diam(N_K(P) intersect side).
 
     ``verts`` are the three sides' vertices in order, ``spans`` the slice of
     each side and ``dmat`` their distance block.  Two vertices of a side
-    count toward the diameter exactly when some coset has both within k;
+    count toward the diameter exactly when some coset has both within K;
     their distance is certified, as both lie on one certified geodesic.
     """
     candidates = cosets_meeting_ball(spec, (mul(spec, v, g) for v in verts for g in nbhd))
@@ -114,7 +115,7 @@ def _penetration(spec, backend, verts, spans, dmat, k, nbhd) -> int:
     dcos = backend.coset_distance_block(candidates, verts)
     _refuse_if_uncertified(dcos)
     # float32, so that the co-membership counts below are a BLAS product
-    near = (dcos <= k).astype(np.float32)
+    near = (dcos <= K).astype(np.float32)
     depth = 0
     for span in spans:
         side_near = near[:, span]

@@ -291,7 +291,7 @@ def test_c09_thinness():
     started = time.time()
     rng = random.Random(7)
     report_c = thinness_scan(
-        C2C3, ExactBackend(C2C3), 1, triangle_sample(C2C3, rng, 200)
+        C2C3, ExactBackend(C2C3), triangle_sample(C2C3, rng, 200)
     )
     c_ok = all(r.delta <= 4 * max(r.depth, 1) for r in report_c.rows)
     rng = random.Random(7)
@@ -300,7 +300,7 @@ def test_c09_thinness():
         triangles.append(
             (IDENTITY, parse_element(ZXZ2, f"v^{n}"), parse_element(ZXZ2, f"u^{n} v^{n}"))
         )
-    report_z = thinness_scan(ZXZ2, ExactBackend(ZXZ2), 1, triangles)
+    report_z = thinness_scan(ZXZ2, ExactBackend(ZXZ2), triangles)
     lam = report_z.lam
     z_ok = not report_z.flagged and all(
         r.delta <= lam * max(r.depth, 1) for r in report_z.rows

@@ -461,11 +461,14 @@ def test_failure_keeps_finished_suite_reports(tmp_path, capsys, monkeypatch):
         ("cyclic 2 a", "extra_generators =\n    a: a b\n",
          "extra generator name clashes: 'a'"),
         ("cyclic 2 a", "extra_generators =\n    ab: a q\n", "unknown generator label: 'q'"),
+        ("cyclic 2 a", "extra_generators =\n    : a b\n", "invalid generator label: ''"),
+        ("cyclic 2 a", "extra_generators =\n    b^-1: a b\n",
+         "invalid generator label: 'b^-1'"),
     ],
     ids=["cyclic_arity", "z_arity", "z2_arity", "table_arity", "unknown_kind",
          "peripheral_index", "extra_without_colon", "cyclic_order", "table_unreadable",
          "cyclic_order_one", "single_factor", "label_in_two_factors", "extra_name_clash",
-         "extra_unknown_label"],
+         "extra_unknown_label", "extra_empty_name", "extra_inverse_name"],
 )
 def test_bad_group_config_exit_two(tmp_path, capsys, factors, extra, message):
     # each bad [group] line ends with exit 2 and one stderr line, before any
@@ -498,6 +501,23 @@ def test_suite_listed_twice_exit_two(tmp_path, capsys, where):
         argv[3:3] = ["--suite", "ap,oracle,ap"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "config error: suite listed twice: 'ap'\n"
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_threshold_listed_twice_exit_two(tmp_path, capsys, where):
+    # a repeated threshold would write two formula rows for it and count
+    # every pair twice in the skip census
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(
+        "[group]\nfactors =\n    cyclic 2 a\n    cyclic 3 b\nperipheral = 0 1\n"
+        "[run]\nsuites = formula\nthresholds = 2 4 2\n"
+    )
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]
+    if where == "flag":
+        argv[3:3] = ["--L", "2,2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: threshold listed twice: 2\n"
     assert not (tmp_path / "rep").exists()
 
 

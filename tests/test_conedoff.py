@@ -9,6 +9,7 @@ import pytest
 from periproj import (
     BfsBackend,
     ConedOffBackend,
+    Coset,
     CyclicFactor,
     ExactBackend,
     GroupSpec,
@@ -17,6 +18,7 @@ from periproj import (
     OutOfRangeError,
     TableFactor,
     UnsupportedMetricError,
+    VertexPath,
     ball,
     check_bcp,
     dist_hat,
@@ -29,12 +31,8 @@ from periproj import (
     random_element,
 )
 from periproj.conedoff import (
-    CAY,
-    CONE,
-    HatPath,
     _coset_geodesic,
     _translate,
-    hat_edge_str,
     path_crossings,
 )
 from periproj.group import IDENTITY, sort_key
@@ -74,10 +72,9 @@ def test_geodesic_hat_example(zxz2):
     y = parse_element(zxz2, "t u^5")
     path = geodesic_hat(zxz2, IDENTITY, y)
     assert len(path) == 2
-    assert path.edges[0] == (CAY, "t")
-    assert path.edges[1][0] == CONE
-    assert path.edges[1][1].rep == parse_element(zxz2, "t")
-    assert hat_edge_str(zxz2, path.edges[1]) == "cone:H1@t^1"
+    assert path.edges[0] == "t"
+    assert isinstance(path.edges[1], Coset)
+    assert path.edges[1].rep == parse_element(zxz2, "t")
 
 
 def test_geodesic_hat_trivial(zxz2):
@@ -88,7 +85,7 @@ def test_geodesic_hat_trivial(zxz2):
 
 def test_geodesic_hat_tie_breaks_to_cayley(zxz2):
     path = geodesic_hat(zxz2, IDENTITY, parse_element(zxz2, "u"))
-    assert path.edges == [(CAY, "u")]
+    assert path.edges == ["u"]
 
 
 def test_cone_edges_join_coset_members(zxz2):
@@ -98,10 +95,10 @@ def test_cone_edges_join_coset_members(zxz2):
         y = random_element(zxz2, rng, 4, 5)
         path = geodesic_hat(zxz2, x, y)
         assert len(path) == dist_hat(zxz2, x, y)
-        for (kind, payload), u, v in zip(path.edges, path.vertices, path.vertices[1:]):
-            if kind == CONE:
+        for edge, u, v in zip(path.edges, path.vertices, path.vertices[1:]):
+            if isinstance(edge, Coset):
                 assert u != v
-                assert contains(zxz2, payload, u) and contains(zxz2, payload, v)
+                assert contains(zxz2, edge, u) and contains(zxz2, edge, v)
 
 
 def test_lift_example(zxz2, zxz2_exact):
@@ -113,7 +110,7 @@ def test_lift_example(zxz2, zxz2_exact):
 
 def test_lift_all_cayley_identity(zxz2):
     path = geodesic_hat(zxz2, IDENTITY, parse_element(zxz2, "t^3"))
-    assert all(kind == CAY for kind, _ in path.edges)
+    assert all(isinstance(edge, str) for edge in path.edges)
     lifted = lift(zxz2, path)
     assert lifted.vertices == path.vertices
 
@@ -138,8 +135,8 @@ def test_lift_uses_in_factor_extra_generators(k, labels):
     spec = GroupSpec(factors, extra_generators=[("w", parse_element(GroupSpec(factors), "b^3"))])
     x = parse_element(spec, "a")
     y = parse_element(spec, f"a b^{k}")
-    lifted = lift(spec, HatPath([x, y], [(CONE, coset_of(spec, x, 0))]))
-    assert lifted.labels == labels
+    lifted = lift(spec, VertexPath([x, y], [coset_of(spec, x, 0)]))
+    assert lifted.edges == labels
     assert lifted.start == x and lifted.end == y
     assert all(contains(spec, coset_of(spec, x, 0), v) for v in lifted.vertices)
 
@@ -228,11 +225,11 @@ def test_coset_geodesic_budget():
     spec = GroupSpec(factors, extra_generators=[("w", parse_element(GroupSpec(factors), "t^3"))])
     near = parse_element(spec, "t^8")
     assert _coset_geodesic(spec, 0, 0, 8) == _coset_geodesic_bfs(spec, 0, 0, 8)
-    cone = [(CONE, coset_of(spec, IDENTITY, 0))]
-    assert lift(spec, HatPath([IDENTITY, near], cone)).labels == ["t", "t", "w", "w"]
+    cone = [coset_of(spec, IDENTITY, 0)]
+    assert lift(spec, VertexPath([IDENTITY, near], cone)).edges == ["t", "t", "w", "w"]
     far = parse_element(spec, "t^1000000")
     with pytest.raises(OutOfRangeError):
-        lift(spec, HatPath([IDENTITY, far], cone))
+        lift(spec, VertexPath([IDENTITY, far], cone))
 
 
 def test_enumerate_geodesics_deterministic(zxz2, zxz2_hat5):
@@ -242,7 +239,7 @@ def test_enumerate_geodesics_deterministic(zxz2, zxz2_hat5):
     assert [p.edges for p in first] == [p.edges for p in second]
     # parallel Cayley and cone edges both count, Cayley first
     assert len(first) == 2
-    assert first[0].edges[0][0] == CAY and first[1].edges[0][0] == CONE
+    assert isinstance(first[0].edges[0], str) and isinstance(first[1].edges[0], Coset)
 
 
 def test_enumerate_geodesics_translated(zxz2, zxz2_hat5):
@@ -311,12 +308,12 @@ def _dict_window(spec, radius):
         for label, _, g_inv in moves:
             u = mul(spec, v, g_inv)
             if hat.get(u) == d - 1:
-                out.append((u, (CAY, label)))
+                out.append((u, label))
         for i in spec.peripheral_indices:
             coset = coset_of(spec, v, i)
             for u in members[coset]:
                 if u != v and hat.get(u) == d - 1:
-                    out.append((u, (CONE, coset)))
+                    out.append((u, coset))
         return out
 
     return hat, predecessors
@@ -368,7 +365,7 @@ def _walk_back(hb, x, y):
         vertices.append(v)
         edges.append(edge)
         d -= 1
-    return _translate(spec, HatPath(vertices[::-1], edges[::-1]), x)
+    return _translate(spec, VertexPath(vertices[::-1], edges[::-1]), x)
 
 
 @pytest.mark.parametrize(

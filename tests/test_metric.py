@@ -90,7 +90,7 @@ def test_geodesic_steps_are_generators(zxz2, zxz2_exact):
         y = random_element(zxz2, rng, 4, 3)
         path = zxz2_exact.geodesic(x, y)
         assert len(path) == zxz2_exact.distance(x, y)
-        for a, b, label in zip(path.vertices, path.vertices[1:], path.labels):
+        for a, b, label in zip(path.vertices, path.vertices[1:], path.edges):
             assert mul(zxz2, a, moves[label]) == b
 
 
@@ -410,7 +410,7 @@ def test_bfs_geodesic_matches_greedy_reference(request, name, start):
                     backend.geodesic(x, y)
                 continue
             path = backend.geodesic(x, y)
-            assert (path.vertices, path.labels) == expected
+            assert (path.vertices, path.edges) == expected
     assert (refused > 0) == (name == "zxz2_bfs6")
 
 

@@ -205,16 +205,14 @@ def test_dist_to_coset(zxz2, zxz2_exact, zxz2_bfs6):
 def test_entrypoint_inside_coset(zxz2, zxz2_exact):
     x = parse_element(zxz2, "t u^2")
     P = coset_of(zxz2, x, 1)
-    res = proj_entrypoint(zxz2, zxz2_exact, P, x, x, 0)
-    assert res.point == x
+    assert proj_entrypoint(zxz2, zxz2_exact, P, x, x, 0) == x
 
 
 def test_entrypoint_example(zxz2, zxz2_exact):
     P = coset_of(zxz2, parse_element(zxz2, "t"), 1)
     target = parse_element(zxz2, "t u^5")
-    res = proj_entrypoint(zxz2, zxz2_exact, P, IDENTITY, target, 0)
-    assert res.point == parse_element(zxz2, "t")
-    assert res.witness is not None
+    entry = proj_entrypoint(zxz2, zxz2_exact, P, IDENTITY, target, 0)
+    assert entry == parse_element(zxz2, "t")
 
 
 def test_entrypoint_matches_gate_on_sample(zxz2, zxz2_exact):
@@ -224,22 +222,21 @@ def test_entrypoint_matches_gate_on_sample(zxz2, zxz2_exact):
     worst = 0
     for x in elems[:80]:
         for P in cosets[:12]:
-            res = proj_entrypoint(zxz2, zxz2_exact, P, x, P.rep, 0)
+            entry = proj_entrypoint(zxz2, zxz2_exact, P, x, P.rep, 0)
             gate = gate_point(zxz2, P, x)
-            worst = max(worst, zxz2_exact.distance(res.point, gate))
+            worst = max(worst, zxz2_exact.distance(entry, gate))
     assert worst == 0
 
 
 def test_conedoff_projection_inside(zxz2, zxz2_hat5):
     x = parse_element(zxz2, "u^2")
     P = coset_of(zxz2, x, 1)
-    assert proj_conedoff(zxz2, zxz2_hat5, P, x).point == x
+    assert proj_conedoff(zxz2, zxz2_hat5, P, x) == x
 
 
 def test_conedoff_projection_example(zxz2, zxz2_hat5):
     P = coset_of(zxz2, parse_element(zxz2, "t"), 1)
-    res = proj_conedoff(zxz2, zxz2_hat5, P, IDENTITY)
-    assert res.point == parse_element(zxz2, "t")
+    assert proj_conedoff(zxz2, zxz2_hat5, P, IDENTITY) == parse_element(zxz2, "t")
 
 
 def test_conedoff_matches_gate_on_sample(zxz2, zxz2_exact, zxz2_hat5):
@@ -248,7 +245,7 @@ def test_conedoff_matches_gate_on_sample(zxz2, zxz2_exact, zxz2_hat5):
     worst = 0
     for x in elems[:60]:
         for P in cosets[:10]:
-            got = proj_conedoff(zxz2, zxz2_hat5, P, x).point
+            got = proj_conedoff(zxz2, zxz2_hat5, P, x)
             gate = gate_point(zxz2, P, x)
             worst = max(worst, zxz2_exact.distance(got, gate))
     assert worst == 0
@@ -346,8 +343,8 @@ def test_extended_three_methods_agree_within_m(c2c3_ext, ext_bfs8, ext_hat8):
         for P in cosets:
             try:
                 canon = projection(c2c3_ext, ext_bfs8, P, x)
-                entry = proj_entrypoint(c2c3_ext, ext_bfs8, P, x, P.rep, 0).point
-                coned = proj_conedoff(c2c3_ext, ext_hat8, P, x).point
+                entry = proj_entrypoint(c2c3_ext, ext_bfs8, P, x, P.rep, 0)
+                coned = proj_conedoff(c2c3_ext, ext_hat8, P, x)
                 worst = max(
                     worst,
                     ext_bfs8.distance(canon, entry),

@@ -884,13 +884,13 @@ def test_fit_lambda_monotone_in_threshold(zxz2):
 
 def test_thinness_degenerate_triangle(c2c3, c2c3_exact):
     x = parse_element(c2c3, "a b")
-    report = thinness_scan(c2c3, c2c3_exact, 1, [(x, x, IDENTITY)])
+    report = thinness_scan(c2c3, c2c3_exact, [(x, x, IDENTITY)])
     assert report.rows[0].delta == 0
 
 
 def test_thinness_tripod(c2c3, c2c3_exact):
     a, b = parse_element(c2c3, "a"), parse_element(c2c3, "b")
-    report = thinness_scan(c2c3, c2c3_exact, 1, [(IDENTITY, a, b)])
+    report = thinness_scan(c2c3, c2c3_exact, [(IDENTITY, a, b)])
     assert report.rows[0].delta == 0
 
 
@@ -905,7 +905,7 @@ def test_thinness_flat_triangles_linear(zxz2, zxz2_exact):
                 parse_element(zxz2, f"u^{n} v^{n}"),
             )
         )
-    report = thinness_scan(zxz2, zxz2_exact, 1, triangles)
+    report = thinness_scan(zxz2, zxz2_exact, triangles)
     assert not report.flagged
     assert max(r.depth for r in report.rows) >= 8
     for row in report.rows:
@@ -917,7 +917,7 @@ def test_thinness_sample_shapes(zxz2, zxz2_exact):
     rng = random.Random(2)
     triangles = triangle_sample(zxz2, rng, 10, exhaustive_radius=1)
     assert len(triangles) == 7**3 + 10
-    report = thinness_scan(zxz2, zxz2_exact, 1, triangles[:50])
+    report = thinness_scan(zxz2, zxz2_exact, triangles[:50])
     assert len(report.rows) == 50
     assert report.skipped == 0
 
@@ -958,7 +958,7 @@ def _scalar_thinness(backend, sides) -> int:
 def _scalar_thinness_scan(spec, backend, k, triangles):
     """Reference for ``thinness_scan``: a triangle is skipped on the first
     refused scalar query."""
-    report = thinness.ThinnessReport(group=spec.name or repr(spec), k=k)
+    report = thinness.ThinnessReport()
     nbhd = list(ball(spec, k)) if spec.peripheral_indices else [()]
     for tri in triangles:
         x, y, z = tri
@@ -981,7 +981,7 @@ def _scalar_thinness_scan(spec, backend, k, triangles):
 
 def test_thinness_blocks_match_scalar_exact(zxz2, zxz2_exact):
     triangles = triangle_sample(zxz2, random.Random(7), 60)
-    block = thinness_scan(zxz2, zxz2_exact, 1, triangles)
+    block = thinness_scan(zxz2, zxz2_exact, triangles)
     scalar = _scalar_thinness_scan(zxz2, zxz2_exact, 1, triangles)
     assert block.rows == scalar.rows
     assert block.skipped == scalar.skipped == 0
@@ -996,7 +996,7 @@ def test_thinness_blocks_match_scalar_bfs_skips(c2c3_ext):
     elems = list(ball(c2c3_ext, 3))
     rng = random.Random(1)
     triangles = [tuple(elems[rng.randrange(len(elems))] for _ in range(3)) for _ in range(60)]
-    block = thinness_scan(c2c3_ext, backend, 1, triangles)
+    block = thinness_scan(c2c3_ext, backend, triangles)
     scalar = _scalar_thinness_scan(c2c3_ext, backend, 1, triangles)
     assert block.rows == scalar.rows
     assert block.skipped == scalar.skipped == 47
