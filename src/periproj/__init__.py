@@ -35,7 +35,6 @@ from .metric import (
     ExactBackend,
     VertexPath,
     enumerate_geodesics,
-    geodesic_exact,
     quasigeodesic_constants,
 )
 from .peripheral import (
@@ -53,8 +52,6 @@ from .conedoff import (
     BcpReport,
     ConedOffBackend,
     check_bcp,
-    dist_hat,
-    geodesic_hat,
     lift,
 )
 

@@ -36,7 +36,7 @@ from .errors import (
 from .factor import KINDS
 from .group import DEFAULT_BALL_CAP, GroupSpec, ball, parse_element
 from .metric import BfsBackend, ExactBackend, quasigeodesic_constants
-from .conedoff import ConedOffBackend, check_bcp, dist_hat, lift
+from .conedoff import ConedOffBackend, check_bcp, lift
 from .verify import (
     SamplePlan,
     check_ap_axioms,
@@ -361,7 +361,7 @@ def _suite_oracle(ws: Workspace) -> SuiteResult:
             count = 0
             for w in hb.gtable:
                 count += 1
-                if hb.window_distance((), w) != dist_hat(spec, (), w):
+                if hb.window_distance((), w) != hb.distance((), w):
                     bad += 1
             mismatches += bad
             examined += count

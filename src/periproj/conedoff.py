@@ -5,6 +5,7 @@ extra edge between every pair of distinct vertices sharing a peripheral coset
 (clique model: a coset crossing costs exactly 1).  For the standard
 generating set the distance has a closed form: each peripheral syllable of
 ``x^-1 y`` costs 1 and every other syllable costs its factor word length.
+``ConedOffBackend.distance`` and ``.geodesic`` are the only way to reach it.
 
 For extended generating sets (and for geodesic enumeration in general) a
 windowed BFS backend is used: the graph is restricted to a ball around the
@@ -15,9 +16,11 @@ with the neighbour ids of its last level; the coned-off BFS runs level by
 level over those ids and each coset's key, expanding each coset once.
 Window geodesics are enumerated by ``metric.dag_paths``, backward from the
 target over each vertex's predecessors; the deterministic window geodesic
-is the first path listed.  A lift replaces each cone edge of a path (a
-``metric.VertexPath`` edge that is a ``Coset``) by the ``factor.greedy_moves``
-geodesic in it over the moves lying in that factor (``GroupSpec.factor_moves``).
+is the first path listed.  A window only lengthens paths, so a window value
+below the certified distance is a contradiction.  A lift replaces each cone
+edge of a path (a ``metric.VertexPath`` edge that is a ``Coset``) by the
+``factor.greedy_moves`` geodesic in it over the moves lying in that factor
+(``GroupSpec.factor_moves``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFactorError, OutOfRangeError, UnsupportedMetricError
+from .errors import (
+    InvalidFactorError,
+    OutOfRangeError,
+    TheoremViolationError,
+    UnsupportedMetricError,
+)
 from .factor import greedy_moves, word_lengths
 from .group import (
     DEFAULT_BALL_CAP,
@@ -44,54 +52,6 @@ from .group import (
 from .metric import VertexPath, dag_paths
 from .peripheral import Coset, coset_member, coset_of, coset_str, member_coord
 
-def _require_peripheral(spec: GroupSpec) -> None:
-    if not spec.peripheral_indices:
-        raise InvalidFactorError("coned-off operations need a nonempty peripheral set")
-
-
-def dist_hat(spec: GroupSpec, x: Element, y: Element) -> int:
-    """Coned-off distance, closed form (standard generating set only)."""
-    _require_peripheral(spec)
-    if not spec.is_standard:
-        raise UnsupportedMetricError(
-            "closed-form coned-off distance needs the standard generating set; "
-            "use a ConedOffBackend window"
-        )
-    w = mul(spec, inv(spec, x), y)
-    peripheral = spec.peripheral_indices
-    factors = spec.factors
-    return sum(
-        1 if fi in peripheral else factors[fi].length(c) for fi, c in w
-    )
-
-
-def geodesic_hat(spec: GroupSpec, x: Element, y: Element) -> VertexPath:
-    """Canonical coned-off geodesic: one cone edge per long peripheral syllable.
-
-    Length-1 peripheral syllables tie between a Cayley edge and a cone edge;
-    the tie is broken to the Cayley edge.
-    """
-    _require_peripheral(spec)
-    if not spec.is_standard:
-        raise UnsupportedMetricError("canonical coned-off geodesics need standard generators")
-    w = mul(spec, inv(spec, x), y)
-    vertices = [x]
-    edges: list = []
-    cur = x
-    for fi, coord in w:
-        f = spec.factors[fi]
-        if fi in spec.peripheral_indices and f.length(coord) > 1:
-            edges.append(coset_of(spec, cur, fi))
-            cur = mul_syllable(spec, cur, fi, coord)
-            vertices.append(cur)
-            continue
-        for label, g in f.geodesic_moves(f.identity, coord):
-            cur = mul_syllable(spec, cur, fi, g)
-            edges.append(label)
-            vertices.append(cur)
-    return VertexPath(vertices, edges)
-
-
 class ConedOffBackend:
     """Coned-off distances/geodesics with an optional BFS window.
 
@@ -105,7 +65,8 @@ class ConedOffBackend:
     """
 
     def __init__(self, spec: GroupSpec, radius: int | None = None, cap: int = DEFAULT_BALL_CAP):
-        _require_peripheral(spec)
+        if not spec.peripheral_indices:
+            raise InvalidFactorError("coned-off operations need a nonempty peripheral set")
         self.spec = spec
         self.radius = radius
         self.exact = spec.is_standard
@@ -159,9 +120,13 @@ class ConedOffBackend:
         return hat
 
     def distance(self, x: Element, y: Element) -> int:
-        """Certified coned-off distance (exact formula in standard mode)."""
+        """Certified coned-off distance.  In standard mode the closed form:
+        each peripheral syllable of x^-1 y costs 1 and every other syllable
+        its factor word length."""
         if self.exact:
-            return dist_hat(self.spec, x, y)
+            spec, peripheral = self.spec, self.spec.peripheral_indices
+            w = mul(spec, inv(spec, x), y)
+            return sum(1 if i in peripheral else spec.factors[i].length(c) for i, c in w)
         d = self.window_distance(x, y)
         if d * self._c_edge > self.radius:
             raise OutOfRangeError("coned-off distance not certified by this window")
@@ -178,11 +143,25 @@ class ConedOffBackend:
         return d
 
     def geodesic(self, x: Element, y: Element) -> VertexPath:
-        """The canonical geodesic in standard mode; in extended mode the
-        first geodesic that ``enumerate_geodesics`` lists."""
-        if self.exact:
-            return geodesic_hat(self.spec, x, y)
-        return self.enumerate_geodesics(x, y, 1)[0][0]
+        """Standard mode: the canonical geodesic, one cone edge per peripheral
+        syllable longer than 1 (a length-1 one ties, and takes its Cayley
+        edge) and the factor geodesic of every other syllable.  Extended
+        mode: the first geodesic that ``enumerate_geodesics`` lists."""
+        if not self.exact:
+            return self.enumerate_geodesics(x, y, 1)[0][0]
+        spec = self.spec
+        vertices = [x]
+        edges: list = []
+        for fi, coord in mul(spec, inv(spec, x), y):
+            f = spec.factors[fi]
+            if fi in spec.peripheral_indices and f.length(coord) > 1:
+                steps = [(coset_of(spec, vertices[-1], fi), coord)]
+            else:
+                steps = f.geodesic_moves(f.identity, coord)
+            for edge, g in steps:
+                vertices.append(mul_syllable(spec, vertices[-1], fi, g))
+                edges.append(edge)
+        return VertexPath(vertices, edges)
 
     def _predecessors(self, v: Element, d: int):
         """(u, edge u->v) pairs over the shortest-path DAG, deterministically:
@@ -218,17 +197,19 @@ class ConedOffBackend:
         ``cap``: ``dag_paths`` backward from x^-1 y over ``_predecessors``,
         each path reversed and translated by x.
 
-        In standard mode the windowed distance is asserted against the closed
-        form first, so every enumerated path is a true geodesic (geodesics
-        leaving the window are not seen; callers report the window radius).
+        The window value is checked against the certified ``distance`` (the
+        same value in extended mode) first, so every enumerated path is a
+        true geodesic; geodesics leaving the window are not seen.  A window
+        only lengthens paths: a larger value is refused (OutOfRangeError), a
+        smaller one contradicts the certified distance (TheoremViolationError).
         """
         spec = self.spec
-        if self.exact:
-            d = self.window_distance(x, y)
-            if d != dist_hat(spec, x, y):
-                raise OutOfRangeError("window too small: BFS value exceeds the exact distance")
-        else:
-            d = self.distance(x, y)
+        d = self.window_distance(x, y)
+        certified = self.distance(x, y)
+        if d < certified:
+            raise TheoremViolationError(f"window value {d} below certified distance {certified}")
+        if d > certified:
+            raise OutOfRangeError("window too small: BFS value exceeds the exact distance")
         w = mul(spec, inv(spec, x), y)
         found, truncated = dag_paths(w, d, self._predecessors, cap)
         paths = [

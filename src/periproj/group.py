@@ -36,6 +36,9 @@ class GroupSpec:
     metric without changing the group, its cosets, or any set-theoretic
     definition built on them.  Whether the set is standard decides the
     metric backend: closed forms for the standard set, a BFS ball otherwise.
+    An extra generator whose value is already a move (a factor generator,
+    an inverse, or an earlier extra) is dropped from ``extra_generators``,
+    so ``is_standard`` and ``bipartite`` follow the move table.
     """
 
     def __init__(
@@ -69,6 +72,8 @@ class GroupSpec:
             i for i, f in enumerate(self.factors) if f.peripheral
         )
         self._moves, self._inverse_moves = self._build_moves()
+        labels = {label for label, _ in self._moves}
+        self.extra_generators = tuple(e for e in extras if e[0] in labels)
         # a homomorphism onto Z/2 that sends every move to 1 exists exactly
         # when every factor graph is bipartite and every extra has odd length
         self.bipartite = all(f.bipartite() for f in self.factors) and all(

@@ -17,12 +17,14 @@ ys)`` and ``coset_distance_block(cosets, xs)`` as int32 arrays with -1 where a
 value is not certified; and the coset queries ``coset_points``,
 ``coset_minimizers``, ``project``, ``project_block`` and ``coset_distance``.
 The suites never choose between the two modes; the generating set picks the
-backend, and only the CLI's samplers and oracle suite differ by mode.
+backend, and only the CLI's samplers and oracle suite differ by mode.  The
+backend methods are the only way to reach the closed forms, so the oracle
+and the suites check the same code.
 
 Projection routes:
 
-* ``project(P, x)``: the canonical point, the gate ``peripheral.gate_point``
-  in exact mode and the least certified minimizer in BFS mode;
+* ``project(P, x)``: the canonical point, the gate in exact mode and the
+  least certified minimizer in BFS mode;
 * ``project_block(P, xs)``: ``project`` for each x, None where it is not
   certified.  Exact mode reads each gate off the syllables of x, with no
   element products; BFS mode loops over ``project``;
@@ -67,7 +69,7 @@ from .group import (
     sort_key,
     syllable_length,
 )
-from .peripheral import Coset, coset_member, coset_of, gate_point
+from .peripheral import Coset, coset_member, coset_of
 
 
 @dataclass
@@ -89,21 +91,6 @@ class VertexPath:
     @property
     def end(self) -> Element:
         return self.vertices[-1]
-
-
-def geodesic_exact(spec: GroupSpec, x: Element, y: Element) -> VertexPath:
-    """Deterministic geodesic from x to y, one factor geodesic per syllable."""
-    if not spec.is_standard:
-        raise UnsupportedMetricError("exact geodesics require the standard generating set")
-    w = mul(spec, inv(spec, x), y)
-    vertices = [x]
-    edges: list[str] = []
-    for fi, coord in w:
-        f = spec.factors[fi]
-        for label, g in f.geodesic_moves(f.identity, coord):
-            vertices.append(mul_syllable(spec, vertices[-1], fi, g))
-            edges.append(label)
-    return VertexPath(vertices, edges)
 
 
 # cells per row chunk of a prefix block: bounds the int64 scratch arrays
@@ -284,8 +271,12 @@ class ExactBackend:
         return best, best_points
 
     def project(self, P: Coset, x: Element) -> Element:
-        """The gate: the unique closest point of P."""
-        return gate_point(self.spec, P, x)
+        """The gate: rep times the leading P-syllable of rep^-1 x, else rep."""
+        spec = self.spec
+        w = mul(spec, inv(spec, P.rep), x)
+        if w and w[0][0] == P.factor_index:
+            return mul_syllable(spec, P.rep, P.factor_index, w[0][1])
+        return P.rep
 
     def project_block(self, P: Coset, xs) -> list:
         """The gate of each x, with no element products: x[:len(rep)+1] when
@@ -310,7 +301,16 @@ class ExactBackend:
         return total
 
     def geodesic(self, x: Element, y: Element) -> VertexPath:
-        return geodesic_exact(self.spec, x, y)
+        """Deterministic geodesic from x to y, one factor geodesic per syllable."""
+        spec = self.spec
+        vertices = [x]
+        edges: list[str] = []
+        for fi, coord in mul(spec, inv(spec, x), y):
+            f = spec.factors[fi]
+            for label, g in f.geodesic_moves(f.identity, coord):
+                vertices.append(mul_syllable(spec, vertices[-1], fi, g))
+                edges.append(label)
+        return VertexPath(vertices, edges)
 
 
 class BfsBackend:

@@ -6,10 +6,9 @@ trailing ``i``-syllable stripped), so coset equality is O(1).
 
 Projection routes:
 
-* ``gate_point``: closed form for the standard generating set; writes
-  ``w = rep^-1 x`` and gates through the leading ``i``-syllable of ``w``.
-  This is the unique distance-minimizing point in that regime, and
-  ``ExactBackend.project`` returns it.
+* ``ExactBackend.project``, the only way to the closed form for the
+  standard generating set: it gates through the leading ``i``-syllable of
+  ``w = rep^-1 x``, the unique distance-minimizing point in that regime.
 * the backend's ``project_block(P, xs)``: the canonical point of each x,
   None where it is not certified.  In exact mode it reads the gate off the
   syllables of x (rep's successor in x when rep is a syllable prefix of x
@@ -97,14 +96,6 @@ def member_coord(spec: GroupSpec, coset: Coset, p: Element):
 
 def contains(spec: GroupSpec, coset: Coset, x: Element) -> bool:
     return coset_of(spec, x, coset.factor_index) == coset
-
-
-def gate_point(spec: GroupSpec, P: Coset, x: Element) -> Element:
-    """rep times the leading P-syllable of rep^-1 x (the rep when none)."""
-    w = mul(spec, inv(spec, P.rep), x)
-    if w and w[0][0] == P.factor_index:
-        return mul_syllable(spec, P.rep, P.factor_index, w[0][1])
-    return P.rep
 
 
 def dist_to_coset(spec: GroupSpec, backend, P: Coset, x: Element) -> int:

@@ -80,6 +80,10 @@ ROW_NAMES = (
 )
 # edges of each random generator walk
 WALK_LENGTH = 12
+# the far-path row tests paths staying k * max(C, 1) from a coset, per k
+FAR_PATH_KS = (1, 2, 3)
+# the entry and grazing rows use the neighbourhood radii 2C + offset
+R_OFFSETS = (0, 1, 2)
 
 
 def lemma_battery(
@@ -109,7 +113,7 @@ def lemma_battery(
     pairs = seeded_pairs(spec, rng, plan.n_pairs, plan.max_syllables, plan.max_syllable_len)
 
     paths = _build_paths(spec, backend, hat_backend, rng, pairs, plan, rows)
-    r_values = sorted({max(2 * C, 0) + off for off in plan.r_offsets})
+    r_values = sorted({max(2 * C, 0) + off for off in R_OFFSETS})
 
     # d(v, P) for every path vertex v and coset P; a path meets its cosets
     # in the rows of its profile that are certified throughout
@@ -168,7 +172,7 @@ def lemma_battery(
                 "coset": coset_str(spec, P),
                 "kind": path.kind,
             }
-            _far_path(path, dprof, gap, C, plan.ks, rows, base_witness)
+            _far_path(path, dprof, gap, C, FAR_PATH_KS, rows, base_witness)
             if path.kind in ("geodesic", "lift"):
                 to_pix = block[at[upts[ix]]].tolist()
                 _near_point_entry(path, dprof, to_pix, from_x, C, rows, base_witness)

@@ -22,8 +22,6 @@ class SamplePlan:
     max_syllable_len: int = 4
     sample_radius: int = 3
     coset_radius: int = 2
-    ks: tuple = (1, 2, 3)
-    r_offsets: tuple = (0, 1, 2)
 
 
 def random_element_by_length(

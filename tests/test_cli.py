@@ -12,7 +12,7 @@ from importlib import resources
 
 import pytest
 
-from periproj import cli, group
+from periproj import ConedOffBackend, cli, group
 from periproj.cli import main, parse_config
 from periproj.errors import ConfigError, OutOfRangeError, TheoremViolationError
 from periproj.group import ball
@@ -622,6 +622,52 @@ def test_unknown_config_key_exit_two(tmp_path, capsys, extra, message):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "rep").exists()
+
+
+def test_disguised_standard_set_runs_exact(tmp_path):
+    # c2c3 plus an extra equal to the generator a has the standard moves, so
+    # it writes the reports of c2c3 but for the config line
+    text = open(config_path("c2c3.cfg")).read()
+    cfg = tmp_path / "c2c3-w.cfg"
+    cfg.write_text(text.replace("peripheral = 0 1\n", "peripheral = 0 1\nextra_generators =\n    w: a\n"))
+    assert "w: a" in cfg.read_text()
+    reports = []
+    for name, path in (("ref", config_path("c2c3.cfg")), ("w", str(cfg))):
+        out = tmp_path / name
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        reports.append({p.name: p.read_text().splitlines() for p in sorted(out.iterdir())})
+    ref, got = reports
+    assert ref["summary.txt"].pop(1) == "config: c2c3.cfg"
+    assert got["summary.txt"].pop(1) == "config: c2c3-w.cfg"
+    assert got["summary.txt"][1].startswith("mode: exact (radius")
+    assert got == ref
+
+
+def test_extra_equal_to_an_earlier_extra_is_dropped(tmp_path):
+    text = open(config_path("c2c3-ext.cfg")).read()
+    cfg = tmp_path / "c2c3-ext-w.cfg"
+    cfg.write_text(text.replace("    ab: a b\n", "    ab: a b\n    w: a b\n"))
+    assert "w: a b" in cfg.read_text()
+    assert [name for name, _ in parse_config(str(cfg)).group.extra_generators] == ["ab"]
+
+
+@pytest.mark.parametrize("suite", ["oracle", "bcp"])
+def test_coned_off_distance_mutant_exits_one(tmp_path, capsys, monkeypatch, suite):
+    # a coned-off distance one too large on every pair of distinct points:
+    # the oracle finds it against the window, and bcp finds a window path
+    # shorter than the certified distance, a contradiction and not a skip
+    distance = ConedOffBackend.distance
+    monkeypatch.setattr(
+        ConedOffBackend, "distance", lambda self, x, y: distance(self, x, y) + (1 if x != y else 0)
+    )
+    out = tmp_path / "rep"
+    assert main(["run", "--config", config_path("c2c3.cfg"), "--suite", suite,
+                 "--out", str(out)]) == 1
+    if suite == "oracle":
+        rows = list(csv.reader(open(out / "oracle.csv")))
+        assert rows[2][0] == "hat_formula_vs_bfs" and int(rows[2][2]) > 0
+    else:
+        assert capsys.readouterr().err.startswith("theorem violation: window value")
 
 
 @pytest.mark.xfail(

@@ -21,8 +21,6 @@ from periproj import (
     VertexPath,
     ball,
     check_bcp,
-    dist_hat,
-    geodesic_hat,
     inv,
     lift,
     mul,
@@ -41,23 +39,23 @@ from periproj.peripheral import contains, coset_of
 
 def test_dist_hat_example(zxz2, zxz2_hat5):
     y = parse_element(zxz2, "t u^3 v^-2")
-    assert dist_hat(zxz2, IDENTITY, y) == 2
+    assert ConedOffBackend(zxz2).distance(IDENTITY, y) == 2
 
 
 def test_dist_hat_self(zxz2):
     x = parse_element(zxz2, "t u")
-    assert dist_hat(zxz2, x, x) == 0
+    assert ConedOffBackend(zxz2).distance(x, x) == 0
 
 
 def test_dist_hat_all_peripheral(c2c3):
     y = parse_element(c2c3, "a b a b")
-    assert dist_hat(c2c3, IDENTITY, y) == 4
+    assert ConedOffBackend(c2c3).distance(IDENTITY, y) == 4
 
 
 def test_hat_formula_equals_bfs_exhaustive(c2c3, zxz2, c2c3_hat5, zxz2_hat5):
     for spec, hb in ((c2c3, c2c3_hat5), (zxz2, zxz2_hat5)):
         for w in hb.gtable:
-            assert hb.window_distance(IDENTITY, w) == dist_hat(spec, IDENTITY, w)
+            assert hb.window_distance(IDENTITY, w) == ConedOffBackend(spec).distance(IDENTITY, w)
 
 
 def test_hat_is_lipschitz(zxz2, zxz2_exact):
@@ -65,12 +63,12 @@ def test_hat_is_lipschitz(zxz2, zxz2_exact):
     for _ in range(60):
         x = random_element(zxz2, rng, 5, 5)
         y = random_element(zxz2, rng, 5, 5)
-        assert dist_hat(zxz2, x, y) <= zxz2_exact.distance(x, y)
+        assert ConedOffBackend(zxz2).distance(x, y) <= zxz2_exact.distance(x, y)
 
 
 def test_geodesic_hat_example(zxz2):
     y = parse_element(zxz2, "t u^5")
-    path = geodesic_hat(zxz2, IDENTITY, y)
+    path = ConedOffBackend(zxz2).geodesic(IDENTITY, y)
     assert len(path) == 2
     assert path.edges[0] == "t"
     assert isinstance(path.edges[1], Coset)
@@ -79,12 +77,12 @@ def test_geodesic_hat_example(zxz2):
 
 def test_geodesic_hat_trivial(zxz2):
     x = parse_element(zxz2, "t")
-    path = geodesic_hat(zxz2, x, x)
+    path = ConedOffBackend(zxz2).geodesic(x, x)
     assert len(path) == 0 and path.vertices == [x]
 
 
 def test_geodesic_hat_tie_breaks_to_cayley(zxz2):
-    path = geodesic_hat(zxz2, IDENTITY, parse_element(zxz2, "u"))
+    path = ConedOffBackend(zxz2).geodesic(IDENTITY, parse_element(zxz2, "u"))
     assert path.edges == ["u"]
 
 
@@ -93,8 +91,8 @@ def test_cone_edges_join_coset_members(zxz2):
     for _ in range(30):
         x = random_element(zxz2, rng, 4, 5)
         y = random_element(zxz2, rng, 4, 5)
-        path = geodesic_hat(zxz2, x, y)
-        assert len(path) == dist_hat(zxz2, x, y)
+        path = ConedOffBackend(zxz2).geodesic(x, y)
+        assert len(path) == ConedOffBackend(zxz2).distance(x, y)
         for edge, u, v in zip(path.edges, path.vertices, path.vertices[1:]):
             if isinstance(edge, Coset):
                 assert u != v
@@ -103,13 +101,13 @@ def test_cone_edges_join_coset_members(zxz2):
 
 def test_lift_example(zxz2, zxz2_exact):
     y = parse_element(zxz2, "t u^5")
-    lifted = lift(zxz2, geodesic_hat(zxz2, IDENTITY, y))
+    lifted = lift(zxz2, ConedOffBackend(zxz2).geodesic(IDENTITY, y))
     assert len(lifted) == 6 == zxz2_exact.distance(IDENTITY, y)
     assert lifted.start == IDENTITY and lifted.end == y
 
 
 def test_lift_all_cayley_identity(zxz2):
-    path = geodesic_hat(zxz2, IDENTITY, parse_element(zxz2, "t^3"))
+    path = ConedOffBackend(zxz2).geodesic(IDENTITY, parse_element(zxz2, "t^3"))
     assert all(isinstance(edge, str) for edge in path.edges)
     lifted = lift(zxz2, path)
     assert lifted.vertices == path.vertices
@@ -120,7 +118,7 @@ def test_lifts_are_geodesics_exact(zxz2, zxz2_exact):
     for _ in range(25):
         x = random_element(zxz2, rng, 4, 5)
         y = random_element(zxz2, rng, 4, 5)
-        lifted = lift(zxz2, geodesic_hat(zxz2, x, y))
+        lifted = lift(zxz2, ConedOffBackend(zxz2).geodesic(x, y))
         assert quasigeodesic_constants(lifted, zxz2_exact) == (1, 0)
 
 
@@ -387,7 +385,7 @@ def test_window_geodesic_matches_walk_back(request, group, radius):
 
 def test_path_crossings_records_edges_in_coset(zxz2):
     y = parse_element(zxz2, "t u^5 t")
-    path = geodesic_hat(zxz2, IDENTITY, y)
+    path = ConedOffBackend(zxz2).geodesic(IDENTITY, y)
     crossings = path_crossings(zxz2, path)
     t = parse_element(zxz2, "t")
     P = [c for c in crossings if c.rep == t]
@@ -507,14 +505,13 @@ def test_large_gap_forces_coset_edge(zxz2, zxz2_hat5, zxz2_exact):
     # whenever the projection gap on a coset is >= 1 (exact regime), every
     # enumerated coned-off geodesic between the pair contains an edge in it
     from periproj import separating_cosets
-    from periproj.peripheral import gate_point
 
     for w in ball(zxz2, 4):
         geos, _ = zxz2_hat5.enumerate_geodesics(IDENTITY, w, 500)
         for P in separating_cosets(zxz2, IDENTITY, w):
             gap = zxz2_exact.distance(
-                gate_point(zxz2, P, IDENTITY),
-                gate_point(zxz2, P, w),
+                ExactBackend(zxz2).project(P, IDENTITY),
+                ExactBackend(zxz2).project(P, w),
             )
             assert gap >= 1
             for g in geos:

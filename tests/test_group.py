@@ -334,6 +334,15 @@ def test_spec_rejects_trivial_extra(c2c3):
         GroupSpec(list(c2c3.factors), extra_generators=[("x", trivial)])
 
 
+@pytest.mark.parametrize("word", ["a", "b b", "b^-1"])
+def test_extra_that_adds_no_move_is_dropped(c2c3, word):
+    # an extra whose value is already a move leaves the move table as it is,
+    # so the set is the standard one and runs on the closed forms
+    spec = GroupSpec(list(c2c3.factors), extra_generators=[("w", parse_element(c2c3, word))])
+    assert spec.extra_generators == () and spec.is_standard
+    assert spec.moves() == c2c3.moves() and spec.bipartite == c2c3.bipartite
+
+
 def test_elements_are_hashable_set_members(zxz2):
     a = parse_element(zxz2, "t u^2")
     b = parse_element(zxz2, "t u^1 u^1")

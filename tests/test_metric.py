@@ -18,7 +18,6 @@ from periproj import (
     VertexPath,
     ball,
     enumerate_geodesics,
-    geodesic_exact,
     inv,
     mul,
     parse_element,
@@ -61,7 +60,7 @@ def test_exact_mode_rejects_extended(c2c3_ext):
 
 def test_geodesic_example(zxz2):
     y = parse_element(zxz2, "t u^2")
-    path = geodesic_exact(zxz2, IDENTITY, y)
+    path = ExactBackend(zxz2).geodesic(IDENTITY, y)
     assert path.vertices == [
         IDENTITY,
         parse_element(zxz2, "t"),
@@ -72,13 +71,13 @@ def test_geodesic_example(zxz2):
 
 def test_geodesic_trivial(zxz2):
     x = parse_element(zxz2, "t")
-    path = geodesic_exact(zxz2, x, x)
+    path = ExactBackend(zxz2).geodesic(x, x)
     assert path.vertices == [x] and len(path) == 0
 
 
 def test_geodesic_through_identity(c2c3):
     a, b = parse_element(c2c3, "a"), parse_element(c2c3, "b")
-    path = geodesic_exact(c2c3, a, b)
+    path = ExactBackend(c2c3).geodesic(a, b)
     assert path.vertices == [a, IDENTITY, b]
 
 

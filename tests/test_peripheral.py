@@ -6,6 +6,7 @@ import pytest
 
 from periproj import (
     BfsBackend,
+    ExactBackend,
     GroupSpec,
     InvalidFactorError,
     OutOfRangeError,
@@ -23,7 +24,7 @@ from periproj import (
 )
 from periproj import group, metric
 from periproj.group import IDENTITY, mul
-from periproj.peripheral import contains, gate_point, parse_coset
+from periproj.peripheral import contains, parse_coset
 
 
 def test_coset_of_strips_trailing(zxz2):
@@ -54,7 +55,7 @@ def test_coset_serialization_roundtrip(zxz2):
 def test_gate_example(zxz2, zxz2_exact):
     P = coset_of(zxz2, parse_element(zxz2, "t"), 1)
     x = parse_element(zxz2, "t u^2 t u")
-    gate = gate_point(zxz2, P, x)
+    gate = ExactBackend(zxz2).project(P, x)
     assert gate == parse_element(zxz2, "t u^2")
     # oracle: certified brute-force minimum is the same unique point
     d_rep = zxz2_exact.distance(x, P.rep)
@@ -64,13 +65,13 @@ def test_gate_example(zxz2, zxz2_exact):
 def test_gate_fixes_coset_points(zxz2):
     x = parse_element(zxz2, "t u^4")
     P = coset_of(zxz2, x, 1)
-    assert gate_point(zxz2, P, x) == x
+    assert ExactBackend(zxz2).project(P, x) == x
 
 
 def test_gate_subgroup_example(zxz2, zxz2_exact):
     P = coset_of(zxz2, IDENTITY, 1)
     x = parse_element(zxz2, "t u^5")
-    assert gate_point(zxz2, P, x) == IDENTITY
+    assert ExactBackend(zxz2).project(P, x) == IDENTITY
     assert frozenset(zxz2_exact.coset_minimizers(P, x, 8)[1]) == frozenset([IDENTITY])
 
 
@@ -223,7 +224,7 @@ def test_entrypoint_matches_gate_on_sample(zxz2, zxz2_exact):
     for x in elems[:80]:
         for P in cosets[:12]:
             entry = proj_entrypoint(zxz2, zxz2_exact, P, x, P.rep, 0)
-            gate = gate_point(zxz2, P, x)
+            gate = ExactBackend(zxz2).project(P, x)
             worst = max(worst, zxz2_exact.distance(entry, gate))
     assert worst == 0
 
@@ -246,7 +247,7 @@ def test_conedoff_matches_gate_on_sample(zxz2, zxz2_exact, zxz2_hat5):
     for x in elems[:60]:
         for P in cosets[:10]:
             got = proj_conedoff(zxz2, zxz2_hat5, P, x)
-            gate = gate_point(zxz2, P, x)
+            gate = ExactBackend(zxz2).project(P, x)
             worst = max(worst, zxz2_exact.distance(got, gate))
     assert worst == 0
 
@@ -262,7 +263,7 @@ def test_separating_worked_example(zxz2, zxz2_exact):
     assert [coset_str(zxz2, P) for P in cosets] == ["H1 @ t^1", "H1 @ t^1 u^5 t^1"]
     gaps = [
         zxz2_exact.distance(
-            gate_point(zxz2, P, IDENTITY), gate_point(zxz2, P, y)
+            ExactBackend(zxz2).project(P, IDENTITY), ExactBackend(zxz2).project(P, y)
         )
         for P in cosets
     ]
@@ -281,7 +282,7 @@ def test_non_separating_cosets_have_zero_gap(zxz2, zxz2_exact):
             if P in separating:
                 continue
             gap = zxz2_exact.distance(
-                gate_point(zxz2, P, x), gate_point(zxz2, P, y)
+                ExactBackend(zxz2).project(P, x), ExactBackend(zxz2).project(P, y)
             )
             assert gap == 0
 
@@ -293,7 +294,7 @@ def test_gate_additivity_exact(zxz2, zxz2_exact):
     f = zxz2.factors[1]
     for x in elems:
         for P in cosets:
-            gate = gate_point(zxz2, P, x)
+            gate = ExactBackend(zxz2).project(P, x)
             for level in range(3):
                 for h in f.elements_of_length(level):
                     p = P.rep if f.is_identity(h) else P.rep + ((1, h),)

@@ -545,7 +545,7 @@ def _scalar_lemma_battery(spec, backend, C, plan, hat_backend):
         return cache[P, x]
 
     _scalar_lipschitz_sweep(spec, backend, xs, cosets, C, rows["projection_coarse_lipschitz"], proj)
-    r_values = sorted({max(2 * C, 0) + off for off in plan.r_offsets})
+    r_values = sorted({max(2 * C, 0) + off for off in battery.R_OFFSETS})
     for path in paths:
         x, y = path.vertices[0], path.vertices[-1]
         for P in cosets:
@@ -560,7 +560,7 @@ def _scalar_lemma_battery(spec, backend, C, plan, hat_backend):
                 continue
             w = {"x": element_str(spec, x), "y": element_str(spec, y),
                  "coset": coset_str(spec, P), "kind": path.kind}
-            battery._far_path(path, dprof, gap, C, plan.ks, rows, w)
+            battery._far_path(path, dprof, gap, C, battery.FAR_PATH_KS, rows, w)
             if path.kind in ("geodesic", "lift"):
                 _scalar_near_point_entry(backend, path, dprof, pix, C, rows, w)
                 _scalar_large_gap(backend, path, dprof, pix, piy, gap, C, rows, w)
