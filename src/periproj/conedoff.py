@@ -91,7 +91,7 @@ class ConedOffBackend:
         # neighbour u along the inverse move
         labels = [label for label, _ in self.spec.moves()]
         self._back = list(zip(labels, self.spec.inverse_moves()))
-        self.hat_table = IdTable(self.gtable.index, self._hat_bfs().tolist())
+        self.hat_table = IdTable(self.gtable, self._hat_bfs().tolist())
         self._pred_cache: dict = {}
 
     def _hat_bfs(self) -> np.ndarray:
@@ -134,9 +134,12 @@ class ConedOffBackend:
 
     def window_distance(self, x: Element, y: Element) -> int:
         """Raw windowed BFS value (an upper bound on the true distance)."""
+        return self._window_value(mul(self.spec, inv(self.spec, x), y))
+
+    def _window_value(self, w: Element) -> int:
+        """The window's coned-off distance from the identity to w."""
         if self.gtable is None:
             raise UnsupportedMetricError("backend was built without a window")
-        w = mul(self.spec, inv(self.spec, x), y)
         d = self.hat_table.get(w)
         if d is None:
             raise OutOfRangeError("target outside the window")
@@ -171,19 +174,19 @@ class ConedOffBackend:
         if cached is not None:
             return cached
         spec = self.spec
-        elements = self.gtable.elements
+        element = self.gtable.element
         hat = self.hat_table.by_id
-        j = self.gtable.index[v]
+        j = self.gtable.id_of(v)
         out = []
         row = self._steps[j].tolist()
         for label, back in self._back:
             u = row[back]
             if u >= 0 and hat[u] == d - 1:
-                out.append((elements[u], label))
+                out.append((element(u), label))
         for i, cosets in zip(spec.peripheral_indices, self._cosets):
             coset = coset_of(spec, v, i)
             members = [
-                elements[u] for u in cosets.members(int(cosets.key[j]))
+                element(u) for u in cosets.members(int(cosets.key[j]))
                 if u != j and hat[u] == d - 1
             ]
             for u in sorted(members, key=lambda p: sort_key(spec, p)):
@@ -204,13 +207,13 @@ class ConedOffBackend:
         smaller one contradicts the certified distance (TheoremViolationError).
         """
         spec = self.spec
-        d = self.window_distance(x, y)
+        w = mul(spec, inv(spec, x), y)
+        d = self._window_value(w)
         certified = self.distance(x, y)
         if d < certified:
             raise TheoremViolationError(f"window value {d} below certified distance {certified}")
         if d > certified:
             raise OutOfRangeError("window too small: BFS value exceeds the exact distance")
-        w = mul(spec, inv(spec, x), y)
         found, truncated = dag_paths(w, d, self._predecessors, cap)
         paths = [
             _translate(spec, VertexPath(vertices[::-1], edges[::-1]), x)

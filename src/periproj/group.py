@@ -192,94 +192,198 @@ def syllable_length(spec: GroupSpec, x: Element) -> int:
 # cells per row chunk of a walk: bounds the scratch arrays of ``Ball.walk``
 _WALK_CELLS = 1 << 15
 
+# the letter of a product whose last syllable cancels, or outgrows the ball
+_CANCEL, _OUTSIDE = -1, -2
+
 
 class IdTable(Mapping):
-    """A read-only map from elements to ints over a shared id index: the
-    value of x is ``by_id[index[x]]``, and iteration follows id order."""
+    """A read-only map from the elements of a ball to ints: the value of x
+    is ``by_id[ball.id_of(x)]``, and iteration follows id order.  A ``Ball``
+    is the table of its own distances."""
 
-    def __init__(self, index: dict, by_id):
-        self.index = index
+    def __init__(self, ball: Ball, by_id):
+        self.id_of = ball.id_of
+        self.ball = ball
         self.by_id = by_id
 
+    @property
+    def elements(self) -> list[Element]:
+        return self.ball.elements
+
     def __getitem__(self, x: Element) -> int:
-        return self.by_id[self.index[x]]
+        j = self.id_of(x)
+        if j < 0:
+            raise KeyError(x)
+        return self.by_id[j]
 
     def get(self, x: Element, default=None):
-        i = self.index.get(x)
-        return default if i is None else self.by_id[i]
+        j = self.id_of(x)
+        return default if j < 0 else self.by_id[j]
 
     def __contains__(self, x) -> bool:
-        return x in self.index
+        return self.id_of(x) >= 0
 
     def __iter__(self):
-        return iter(self.index)
+        return iter(self.elements)
 
     def items(self):
         """An iterator over the (element, value) pairs in id order."""
-        return zip(self.index, self.by_id)
+        return zip(self.elements, self.by_id)
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.by_id)
 
 
 class Ball(IdTable):
     """The elements within ``radius`` of the identity, with exact BFS
     distances, as a map element -> distance in BFS order, and indexed.
 
-    An element's id is its BFS position (``elements[id]``).  Per id the ball
-    keeps the distance, the BFS parent and the parent move (an index into
-    ``spec.moves()``), so that ``elements[id] = elements[parent] * move``.
+    An element's id is its BFS position.  Per id the ball keeps the
+    distance, the BFS parent and the parent move (an index into
+    ``spec.moves()``), so that ``element(id) = element(parent) * move``, and
+    the syllable tree: ``prefix``, the id of the element without its last
+    syllable, and ``last``, the factor of that syllable (-1 for the identity).
     The neighbour id of every move is recorded for the elements the BFS
     expanded, those at distance below ``radius``; ``complete`` adds the last
     level, whose neighbours only the coned-off window needs, from the
     recorded edges into it and, unless ``spec.bipartite``, from products.
     The ids make ``walk`` and the coset index (``cosets``) array reads.
+
+    A standard generating set's ball holds no element tuples.  A syllable of
+    length at most ``radius`` is a letter, and an element is the integer key
+    ``prefix * width + letter``.  The BFS runs a level at a time over arrays:
+    a move merges into the last syllable or appends a letter, each product
+    is looked up among the sorted keys, and new keys take ids in the order
+    of first occurrence over (frontier id, move), the BFS discovery order.
+    ``element`` and iteration decode tuples on demand, and ``id_of`` walks
+    the syllables of x through the keys.
     """
 
     def __init__(self, spec: GroupSpec, radius: int, cap: int):
         self.spec = spec
         self.radius = radius
-        products, columns = _right_products(spec)
-        index: dict[Element, int] = {IDENTITY: 0}
-        frontier = deque([IDENTITY])  # ids in order: the frontier's first is xid
-        dist, parent, pmove = array("i", [0]), array("i", [-1]), array("i", [-1])
-        nbr = array("i")
         if cap < 1:
             _over_cap(radius, cap)
-        xid = 0
-        while frontier and dist[xid] < radius:
-            d1 = dist[xid] + 1
-            for k, y in zip(columns, products(frontier.popleft())):
-                j = index.get(y)
-                if j is None:
-                    j = len(index)
-                    if j >= cap:
-                        _over_cap(radius, cap)
-                    index[y] = j
-                    frontier.append(y)
-                    dist.append(d1)
-                    parent.append(xid)
-                    pmove.append(k)
-                nbr.append(j)
-            xid += 1
-        super().__init__(index, dist)
         self._elements: list[Element] | None = None
-        self.dist = np.frombuffer(dist, dtype=np.intc)
-        self.parent = np.frombuffer(parent, dtype=np.intc)
-        self.pmove = np.frombuffer(pmove, dtype=np.intc)
+        self._cosets: dict[int, FactorCosets] = {}
+        self._search(cap)
+        self.by_id = memoryview(self.dist)
+
+    def _search(self, cap: int) -> None:
+        spec, radius = self.spec, self.radius
+        syllables: list[Syllable] = []
+        for length in range(1, radius + 1):
+            for i, f in enumerate(spec.factors):
+                syllables += [(i, c) for c in f.elements_of_length(length)]
+            if len(syllables) >= cap:  # each letter alone is a ball element
+                _over_cap(radius, cap)
+        width = self._width = len(syllables)
+        letter_of = self._letter_of = {s: k for k, s in enumerate(syllables)}
+        self._syllables = syllables
+        moves = spec.moves()
+        # per letter (rows, the identity's last) and move: the product's last
+        # letter, and whether it extends the element or merges on its prefix
+        step = self._step = np.empty((width + 1, len(moves)), dtype=np.int32)
+        grows = self._grows = np.ones(step.shape, dtype=bool)
+        for k, (_, ((fi, g),)) in enumerate(moves):
+            f = spec.factors[fi]
+            step[:, k] = letter_of.get((fi, g), _OUTSIDE)
+            for j, (i, c) in enumerate(syllables):
+                if i == fi:
+                    c = f.mul(c, g)
+                    grows[j, k] = False
+                    step[j, k] = (
+                        _CANCEL if f.is_identity(c) else letter_of.get((i, c), _OUTSIDE)
+                    )
+        # the keys in sorted order, a sentinel past every key last, and their ids
+        self._keys = np.array([np.iinfo(np.int64).max])
+        self._key_ids = np.array([-1], dtype=np.int32)
+        # per level, the prefix, letter, parent and parent move of its ids
+        levels = [np.array([[-1], [width], [-1], [-1]], dtype=np.int32)]
+        rows = []  # the neighbour ids of each expanded level
+        lo, hi, m = 0, 1, len(moves)
+        while len(levels) <= radius:  # a free product is infinite: no level is empty
+            key, ids = self._products(lo, *levels[-1][:2])
+            key, ids = key.ravel(), np.where(ids >= 0, ids, self._lookup(key)).ravel()
+            cells = np.flatnonzero((key >= 0) & (ids < 0))
+            new, first, inverse = np.unique(key[cells], return_index=True, return_inverse=True)
+            if hi + len(new) > cap:
+                _over_cap(radius, cap)
+            rank = np.empty(len(new), dtype=np.int32)
+            rank[np.argsort(first)] = np.arange(hi, hi + len(new), dtype=np.int32)
+            ids[cells] = rank[inverse.ravel()]
+            rows.append(ids.astype(np.int32).reshape(-1, m))
+            born = cells[np.sort(first)]  # each new id's first cell, in id order
+            levels.append(np.array(
+                [key[born] // width, key[born] % width, lo + born // m, born % m], dtype=np.int32
+            ))
+            at = np.searchsorted(self._keys, new)
+            self._keys = np.insert(self._keys, at, new)
+            self._key_ids = np.insert(self._key_ids, at, rank)
+            lo, hi = hi, hi + len(new)
+        self.prefix, self.letter, self.parent, self.pmove = np.concatenate(levels, axis=1)
+        self.last = np.array([i for i, _ in syllables] + [-1], dtype=np.int32)[self.letter]
+        sizes = [level.shape[1] for level in levels]
+        self.dist = np.repeat(np.arange(len(levels), dtype=np.int32), sizes)
         # neighbour ids of the first ``_known`` elements in spec.moves()
         # order, -1 outside the ball, and a last row of -1 that every id
         # without recorded neighbours reads
-        self._steps = _steps_table(nbr, columns)
-        self._known = xid
-        self._cosets: dict[int, FactorCosets] = {}
+        self._known = lo
+        self._steps = np.concatenate(rows + [np.full((1, m), -1, dtype=np.int32)])
+
+    def _products(self, lo: int, prefix, letter):
+        """Per id lo, lo + 1, ... (rows, with these ``prefix`` and ``letter``)
+        and move (columns): the product's key, -1 where none is looked up,
+        and its known id (the prefix where the last syllable cancels), or -1."""
+        step, grows = self._step[letter], self._grows[letter]
+        ids = np.arange(lo, lo + len(prefix), dtype=np.int64)
+        below = np.where(grows, ids[:, None], prefix[:, None])
+        key = np.where(step >= 0, below * self._width + step, -1)
+        return key, np.where(step == _CANCEL, prefix[:, None], -1)
+
+    def _lookup(self, key) -> np.ndarray:
+        """The id of each key, -1 where it is no key of the ball."""
+        at = np.searchsorted(self._keys, key)
+        return np.where(self._keys[at] == key, self._key_ids[at], -1)
 
     @property
     def elements(self) -> list[Element]:
-        """The elements by id, listed on first use."""
+        """The elements by id, decoded on first use."""
         if self._elements is None:
-            self._elements = list(self.index)
+            out = [IDENTITY]
+            for j, k in zip(self.prefix[1:].tolist(), self.letter[1:].tolist()):
+                out.append(out[j] + (self._syllables[k],))
+            self._elements = out
         return self._elements
+
+    def element(self, j: int) -> Element:
+        """The element of id j, decoded alone unless ``elements`` is listed."""
+        if self._elements is not None:
+            return self._elements[j]
+        out = []
+        while j > 0:
+            out.append(self._syllables[self.letter[j]])
+            j = self.prefix[j]
+        return tuple(out[::-1])
+
+    def id_of(self, x: Element) -> int:
+        """The id of x, -1 outside the ball: one key lookup per syllable."""
+        j = 0
+        for syllable in x:
+            k = self._letter_of.get(syllable)
+            if k is None:
+                return -1
+            key = j * self._width + k
+            at = self._keys.searchsorted(key)
+            if self._keys[at] != key:
+                return -1
+            j = int(self._key_ids[at])
+        return j
+
+    def coset_key(self, rep: Element) -> int:
+        """The ``FactorCosets.key`` of the cosets rep H_i, for a canonical
+        representative ``rep``; -1 when none of them meets the ball."""
+        return self.id_of(rep)
 
     def complete(self) -> np.ndarray:
         """Neighbour ids (one column per move, -1 outside the ball) of every
@@ -292,7 +396,7 @@ class Ball(IdTable):
         ball, so the scatter is the whole answer; otherwise each last-level
         row is the product of the element with every move.
         """
-        n, known = len(self.index), self._known
+        n, known = len(self), self._known
         if known < n:
             spec = self.spec
             old = self._steps
@@ -303,18 +407,16 @@ class Ball(IdTable):
             rows, cols = np.nonzero(old[lo:known] >= known)
             steps[old[lo + rows, cols], np.array(spec.inverse_moves())[cols]] = lo + rows
             if not spec.bipartite:  # edges inside the last level
-                products, columns = _right_products(spec)
-                get = self.index.get
-                last = array("i")
-                for x in self.elements[known:]:
-                    last.extend([get(y, -1) for y in products(x)])
-                steps[known:] = _steps_table(last, columns)
+                steps[known:n] = self._last_level()
             self._steps = steps
             self._known = n
         return self._steps[:-1]
 
-    def id_of(self, x: Element) -> int:
-        return self.index.get(x, -1)
+    def _last_level(self) -> np.ndarray:
+        """The neighbour ids of the last level, from products."""
+        known = self._known
+        key, ids = self._products(known, self.prefix[known:], self.letter[known:])
+        return np.where(ids >= 0, ids, self._lookup(key))
 
     def _words(self, ids) -> np.ndarray:
         """The parent moves from the identity to each id, one row per id,
@@ -360,52 +462,84 @@ class Ball(IdTable):
         return self._cosets[i]
 
 
+class WordBall(Ball):
+    """The ball of a generating set with word moves (extra generators): the
+    tuple BFS, with a dict from element tuples to ids.  A prefix outside the
+    ball takes the id ``len(ball)`` plus a first-seen rank."""
+
+    def _search(self, cap: int) -> None:
+        products, columns = _right_products(self.spec)
+        index: dict[Element, int] = {IDENTITY: 0}
+        frontier = deque([IDENTITY])  # ids in order: the frontier's first is xid
+        dist, parent, pmove = array("i", [0]), array("i", [-1]), array("i", [-1])
+        nbr = array("i")
+        xid = 0
+        while frontier and dist[xid] < self.radius:
+            d1 = dist[xid] + 1
+            for k, y in zip(columns, products(frontier.popleft())):
+                j = index.get(y)
+                if j is None:
+                    j = len(index)
+                    if j >= cap:
+                        _over_cap(self.radius, cap)
+                    index[y] = j
+                    frontier.append(y)
+                    dist.append(d1)
+                    parent.append(xid)
+                    pmove.append(k)
+                nbr.append(j)
+            xid += 1
+        self._index = index
+        self._elements = list(index)
+        extra = self._extra = {}
+        prefix, last = array("i", [-1]), array("i", [-1])
+        for x in self._elements[1:]:
+            j = index.get(x[:-1])
+            prefix.append(extra.setdefault(x[:-1], len(index) + len(extra)) if j is None else j)
+            last.append(x[-1][0])
+        self.prefix = np.frombuffer(prefix, dtype=np.intc)
+        self.last = np.frombuffer(last, dtype=np.intc)
+        self.dist = np.frombuffer(dist, dtype=np.intc)
+        self.parent = np.frombuffer(parent, dtype=np.intc)
+        self.pmove = np.frombuffer(pmove, dtype=np.intc)
+        self._steps = _steps_table(nbr, columns)
+        self._known = xid
+
+    def id_of(self, x: Element) -> int:
+        return self._index.get(x, -1)
+
+    def coset_key(self, rep: Element) -> int:
+        j = self._index.get(rep)
+        return self._extra.get(rep, -1) if j is None else j
+
+    def _last_level(self) -> np.ndarray:
+        products, columns = _right_products(self.spec)
+        get = self._index.get
+        last = array("i")
+        for x in self._elements[self._known:]:
+            last.extend([get(y, -1) for y in products(x)])
+        return _steps_table(last, columns)[:-1]
+
+
 class FactorCosets:
     """The left cosets x H_i of factor i that meet a ball, by integer key.
 
     The key of a coset is the id of its canonical representative (x with
-    any trailing i-syllable stripped) when that lies in the ball, and
-    ``len(ball)`` plus a first-seen rank otherwise.  ``key[id]`` is the key
-    of the element's coset, ``first[key]`` the distance of the coset's
+    any trailing i-syllable stripped): the element's ``prefix`` where its
+    last syllable lies in factor i, its own id otherwise (an off-ball
+    prefix of a ``WordBall`` has an id past the ball).  ``key[id]`` is the
+    key of the element's coset, ``first[key]`` the distance of the coset's
     nearest ball member, and ``members(key)`` its ids in BFS order.
     """
 
     def __init__(self, ball: Ball, i: int):
-        n = len(ball)
-        spec = ball.spec
-        in_factor = np.zeros(len(spec.moves()), dtype=bool)
-        in_factor[[k for k, _, _ in spec.factor_moves(i)]] = True
-        ids = np.arange(n)
-        # a move inside H_i keeps the coset, and with it the parent's key
-        inherit = np.zeros(n, dtype=bool)
-        inherit[1:] = in_factor[ball.pmove[1:]]
-        key = ids.copy()
-        self._index = ball.index  # not the ball: no reference cycle
-        self._extra: dict[Element, int] = {}
-        for j in np.flatnonzero(~inherit).tolist():
-            x = ball.elements[j]
-            if x and x[-1][0] == i:
-                k = self.key_of(x[:-1])
-                key[j] = self._extra.setdefault(x[:-1], n + len(self._extra)) if k is None else k
-        root = np.where(inherit, ball.parent, ids)
-        while True:  # pointer jumping to the nearest non-inheriting ancestor
-            nxt = root[root]
-            if np.array_equal(nxt, root):
-                break
-            root = nxt
-        self.key = key[root]
+        self.key = np.where(ball.last == i, ball.prefix, np.arange(len(ball)))
         self._order = np.argsort(self.key, kind="stable")
         self._sorted = self.key[self._order]
         head = np.flatnonzero(np.r_[True, self._sorted[1:] != self._sorted[:-1]])
-        self.first = np.full(n + len(self._extra), -1, dtype=np.int32)
+        self.first = np.full(int(self._sorted[-1]) + 1, -1, dtype=np.int32)
         self.first[self._sorted[head]] = ball.dist[self._order[head]]
         self._members: dict[int, list[int]] = {}
-
-    def key_of(self, rep: Element) -> int | None:
-        """The key of the coset with canonical representative ``rep``, None
-        when the coset misses the ball."""
-        j = self._index.get(rep)
-        return self._extra.get(rep) if j is None else j
 
     def members(self, key: int) -> list[int]:
         """The ids of the coset's ball members, in BFS order (memoized)."""
@@ -475,7 +609,8 @@ def ball(spec: GroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
         raise ValueError("radius must be nonnegative")
     found = _BALLS.get((spec, radius))
     if found is None:
-        found = _BALLS[(spec, radius)] = Ball(spec, radius, cap)
+        build = Ball if spec.is_standard else WordBall
+        found = _BALLS[(spec, radius)] = build(spec, radius, cap)
     elif len(found) > cap:
         _over_cap(radius, cap)
     return found

@@ -335,16 +335,16 @@ class BfsBackend:
         ``level_cap`` is ignored, as the ball already bounds the coset.  The
         ball's coset index is built on the first coset query, so a backend
         used only for distances never pays for it."""
-        return [self.table.elements[j] for j in self._coset_ids(P)]
+        return [self.table.element(j) for j in self._coset_ids(P)]
 
     def _coset_ids(self, P: Coset) -> list[int]:
         cosets = self.table.cosets(P.factor_index)
-        key = cosets.key_of(P.rep)
-        return cosets.members(key) if key is not None else []
+        key = self.table.coset_key(P.rep)
+        return cosets.members(key) if key >= 0 else []
 
     def distance(self, x: Element, y: Element) -> int:
-        j = self.table.index.get(mul(self.spec, inv(self.spec, x), y))
-        if j is None:
+        j = self.table.id_of(mul(self.spec, inv(self.spec, x), y))
+        if j < 0:
             raise OutOfRangeError(
                 f"pair at distance > {self.radius}: not certified by this backend"
             )
@@ -410,7 +410,7 @@ class BfsBackend:
         for j in members:
             if dist[j] > best:
                 break
-            found.append(mul(spec, x, table.elements[j]))
+            found.append(mul(spec, x, table.element(j)))
         return best, found
 
     def project(self, P: Coset, x: Element) -> Element:

@@ -1,6 +1,8 @@
 """Config parsing, suite execution, exit codes, and report formats."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import random
@@ -11,6 +13,7 @@ from collections import Counter
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periproj import ConedOffBackend, cli, group
 from periproj.cli import main, parse_config
@@ -668,6 +671,80 @@ def test_coned_off_distance_mutant_exits_one(tmp_path, capsys, monkeypatch, suit
         assert rows[2][0] == "hat_formula_vs_bfs" and int(rows[2][2]) > 0
     else:
         assert capsys.readouterr().err.startswith("theorem violation: window value")
+
+
+# the tables a fuzzed config may name, each generated by its elements 1
+# and 2: S3 (the permutations of 0, 1, 2 in lexicographic order; 1 and 2
+# are transpositions) and C2 x C2
+_TABLES = {
+    "s3": [
+        [0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
+        [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0],
+    ],
+    "klein": [[i ^ j for j in range(4)] for i in range(4)],
+}
+
+
+@st.composite
+def fuzzed_configs(draw, table_dir):
+    """A small config: 2-3 factors among cyclic, Z, Z^2 and table, a random
+    nonempty peripheral set, maybe one extra generator word, radius at most
+    4 and a ball cap of 1 to 5,000."""
+    lines, tokens = [], []
+    for p in range(draw(st.integers(2, 3))):
+        a, b = f"a{p}", f"b{p}"
+        kind = draw(st.sampled_from(["cyclic", "z", "z2", "table"]))
+        if kind == "cyclic":
+            lines.append(f"cyclic {draw(st.integers(2, 5))} {a}")
+            tokens.append(a)
+        elif kind == "z":
+            lines.append(f"z {a}")
+            tokens.append(a)
+        elif kind == "z2":
+            lines.append(f"z2 {a} {b}")
+            tokens += [a, b]
+        else:
+            name = draw(st.sampled_from(sorted(_TABLES)))
+            path = table_dir / f"{name}-{p}.json"
+            path.write_text(json.dumps({"table": _TABLES[name], "generators": {a: 1, b: 2}}))
+            lines.append(f"table {path}")
+            tokens += [a, b]
+    peripheral = draw(st.sets(st.integers(0, len(lines) - 1), min_size=1))
+    text = "[group]\nfactors =\n" + "".join(f"    {line}\n" for line in lines)
+    text += f"peripheral = {' '.join(map(str, sorted(peripheral)))}\n"
+    if draw(st.booleans()):
+        word = draw(st.lists(
+            st.tuples(st.sampled_from(tokens), st.sampled_from([1, -1, 2])), min_size=1, max_size=3
+        ))
+        text += "extra_generators =\n    w: " + " ".join(f"{t}^{e}" for t, e in word) + "\n"
+    radius = draw(st.integers(1, 4))
+    # hypothesis favours small integers: count the cap down from 5,000, so
+    # that most runs get past their ball builds
+    cap = 5_001 - draw(st.integers(1, 5_000))
+    text += (
+        f"[backend]\nradius = {radius}\nhat_radius = {draw(st.integers(0, radius))}\n"
+        f"ball_cap = {cap}\n"
+        f"[run]\nsamples = 5\nsample_radius = {draw(st.integers(1, 3))}\n"
+        f"coset_radius = {draw(st.integers(0, 2))}\n"
+    )
+    return text
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_configs_exit_cleanly(tmp_path_factory, data):
+    # a small random config runs oracle and bcp to a verdict: clean (0), a
+    # config error (2) or an exhausted budget (3), never an internal error
+    # (4, with a traceback) and never a violation on these free products
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg = work / "fuzz.cfg"
+    cfg.write_text(data.draw(fuzzed_configs(work)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(cfg), "--suite", "oracle,bcp",
+                     "--out", str(work / "rep")])
+    assert code in (0, 2, 3), (cfg.read_text(), err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.xfail(

@@ -8,7 +8,7 @@ from collections import deque
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 from periproj import (
     BallBudgetError,
@@ -188,22 +188,104 @@ def _dict_ball(spec, radius):
     return dist
 
 
-@pytest.mark.parametrize("name, radius", [("zxz2", 5), ("c2c3", 9), ("c2c3_ext", 8)])
-def test_ball_matches_dict_bfs(request, name, radius):
+def _s3_table(*labels):
+    """S3 as a multiplication table, generated by two transpositions."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(q[p[i]] for i in range(3))] for q in perms] for p in perms]
+    return TableFactor(table, dict(zip(labels, (index[(1, 0, 2)], index[(0, 2, 1)]))))
+
+
+def _klein_table(*labels):
+    """C2 x C2 as a multiplication table, generated by its two factors."""
+    return TableFactor([[i ^ j for j in range(4)] for i in range(4)], dict(zip(labels, (1, 2))))
+
+
+def _c5_table(*labels):
+    """C5 as a multiplication table (not bipartite), on one generator."""
+    return TableFactor([[(i + j) % 5 for j in range(5)] for i in range(5)], {labels[0]: 1})
+
+
+@st.composite
+def standard_specs(draw):
+    """A free product of 2 or 3 factors drawn among cyclic, Z, Z^2 and table
+    factors, on its standard generating set."""
+    factors = []
+    for p in range(draw(st.integers(2, 3))):
+        labels = (f"a{p}", f"b{p}")
+        kind = draw(st.sampled_from(["cyclic", "z", "z2", "table"]))
+        if kind == "cyclic":
+            factors.append(CyclicFactor(draw(st.integers(2, 6)), labels[0]))
+        elif kind == "z":
+            factors.append(InfiniteCyclicFactor(labels[0]))
+        elif kind == "z2":
+            factors.append(FreeAbelianRank2Factor(*labels))
+        else:
+            factors.append(draw(st.sampled_from([_s3_table, _klein_table, _c5_table]))(*labels))
+    return GroupSpec(factors)
+
+
+BALL_SPECS = {
+    "c4*c6": lambda: GroupSpec([CyclicFactor(4, "a"), CyclicFactor(6, "b")]),
+    "s3*c2": lambda: GroupSpec([_s3_table("s", "x"), CyclicFactor(2, "c")]),
+    "z*z": lambda: GroupSpec([InfiniteCyclicFactor("s"), InfiniteCyclicFactor("t")]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    [("zxz2", 5), ("c2c3", 9), ("c2c3_ext", 8), ("zxz2", 8), ("c4*c6", 6), ("s3*c2", 8),
+     ("z*z", 7), ("drawn", 5)],
+)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_ball_matches_dict_bfs(request, name, radius, data):
     # the same elements and distances in the same order; each id's parent
     # times its parent move is the element, and the neighbour ids (the last
-    # level's after ``complete``) are the ids of the products, -1 outside
-    spec = request.getfixturevalue(name)
-    got = ball(spec, radius)
-    assert list(got.items()) == list(_dict_ball(spec, radius).items())
+    # level's after ``complete``) are the reference ids of the products, -1
+    # outside, where ``id_of`` gives -1 too.  Each coset key is the id of
+    # the coset's canonical representative (past the ball by a first-seen
+    # rank when that lies outside), with its nearest distance.  "drawn" is
+    # a standard set of 2-3 factors at a radius of at most 5.
+    if name == "drawn":
+        spec, radius = data.draw(standard_specs()), data.draw(st.integers(0, radius))
+        try:
+            got = ball(spec, radius, cap=6_000)
+        except BallBudgetError:
+            reject()
+    else:
+        spec = BALL_SPECS[name]() if name in BALL_SPECS else request.getfixturevalue(name)
+        got = ball(spec, radius)
+    reference = _dict_ball(spec, radius)
+    assert list(got.items()) == list(reference.items())
     assert got.elements == list(got)
+    ids = {x: j for j, x in enumerate(reference)}
     moves = [g for _, g in spec.moves()]
     parent, pmove = got.parent.tolist(), got.pmove.tolist()
     steps = got.complete()
+    outside = []
     for j, x in enumerate(got.elements):
         if j:
             assert mul(spec, got.elements[parent[j]], moves[pmove[j]]) == x
-        assert steps[j].tolist() == [got.id_of(mul(spec, x, g)) for g in moves]
+        assert got.id_of(x) == j and got.element(j) == x
+        products = [mul(spec, x, g) for g in moves]
+        assert steps[j].tolist() == [ids.get(y, -1) for y in products]
+        outside += [y for y in products if y not in ids]
+    extra = {}
+    for x in reference:
+        if x and x[:-1] not in ids:
+            extra.setdefault(x[:-1], len(ids) + len(extra))
+    for i in range(len(spec.factors)):
+        reps = [x[:-1] if x and x[-1][0] == i else x for x in reference]
+        key = [ids[rep] if rep in ids else extra[rep] for rep in reps]
+        first = [-1] * (max(key) + 1)
+        for k, d in zip(key, reference.values()):
+            first[k] = d if first[k] < 0 else first[k]
+        cosets = got.cosets(i)
+        assert cosets.key.tolist() == key
+        assert cosets.first.tolist() == first
+    assert all(got.id_of(y) == -1 for y in outside)
 
 
 def _completion_specs():
@@ -211,10 +293,7 @@ def _completion_specs():
     parity criterion, at radii where the non-bipartite balls have edges
     inside their last level."""
     c4c6 = [CyclicFactor(4, "a"), CyclicFactor(6, "b")]
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(q[p[i]] for i in range(3))] for q in perms] for p in perms]
-    s3 = TableFactor(table, {"s": index[(1, 0, 2)], "x": index[(0, 2, 1)]})
+    s3 = _s3_table("s", "x")
     c3c5 = [CyclicFactor(3, "a"), CyclicFactor(5, "b")]
     zz2 = [InfiniteCyclicFactor("t"), FreeAbelianRank2Factor("u", "v")]
 
