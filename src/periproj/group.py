@@ -10,8 +10,6 @@ empty tuple.
 from __future__ import annotations
 
 import weakref
-from array import array
-from collections import deque
 from collections.abc import Mapping
 from typing import Iterable, Sequence
 
@@ -192,14 +190,18 @@ def syllable_length(spec: GroupSpec, x: Element) -> int:
 # cells per row chunk of a walk: bounds the scratch arrays of ``Ball.walk``
 _WALK_CELLS = 1 << 15
 
-# the letter of a product whose last syllable cancels, or outgrows the ball
-_CANCEL, _OUTSIDE = -1, -2
+# the letter of a product whose last syllable cancels, or is no node's
+# syllable, and of a product not yet formed
+_CANCEL, _OUTSIDE, _UNKNOWN = -1, -2, -3
+
+# a node's key is ``prefix * _WIDTH + letter``, a letter an int32
+_WIDTH = 1 << 31
 
 
 class IdTable(Mapping):
     """A read-only map from the elements of a ball to ints: the value of x
-    is ``by_id[ball.id_of(x)]``, and iteration follows id order.  A ``Ball``
-    is the table of its own distances."""
+    is ``by_id[ball.id_of(x)]`` (the ball's memoized key walk), iteration
+    follows id order.  A ``Ball`` is the table of its own distances."""
 
     def __init__(self, ball: Ball, by_id):
         self.id_of = ball.id_of
@@ -249,141 +251,248 @@ class Ball(IdTable):
     recorded edges into it and, unless ``spec.bipartite``, from products.
     The ids make ``walk`` and the coset index (``cosets``) array reads.
 
-    A standard generating set's ball holds no element tuples.  A syllable of
-    length at most ``radius`` is a letter, and an element is the integer key
-    ``prefix * width + letter``.  The BFS runs a level at a time over arrays:
-    a move merges into the last syllable or appends a letter, each product
-    is looked up among the sorted keys, and new keys take ids in the order
-    of first occurrence over (frontier id, move), the BFS discovery order.
-    ``element`` and iteration decode tuples on demand, and ``id_of`` walks
-    the syllables of x through the keys.
+    The ball holds no element tuples.  A letter numbers a syllable that
+    some node ends in, listed as the BFS meets it, and a node of the
+    syllable tree is the integer key ``prefix * _WIDTH + letter``.
+    The BFS runs a level at a time over arrays: a move acts a syllable at a
+    time, merging into the last syllable or appending a letter, and each
+    product is looked up among the sorted keys; a word move's intermediate
+    product that is no node yet becomes a node off the ball.  New elements
+    take ids in the order of first occurrence over (frontier id, move),
+    single syllables before words: the BFS discovery order.  Off-ball nodes
+    take ids past the ball, the prefixes of ball elements first, by the
+    first element they prefix.  ``element`` and iteration decode tuples on
+    demand; ``id_of`` walks x's syllables through the keys, memoizing each
+    element and key.
     """
 
     def __init__(self, spec: GroupSpec, radius: int, cap: int):
         self.spec = spec
         self.radius = radius
-        if cap < 1:
+        # an infinite group has at least two elements at each distance
+        if 2 * radius + 1 > cap:
             _over_cap(radius, cap)
         self._elements: list[Element] | None = None
         self._cosets: dict[int, FactorCosets] = {}
+        self._memo: dict = {}  # element -> id (past the ball off it), and key -> node
+        self._alphabet()
         self._search(cap)
         self.by_id = memoryview(self.dist)
+        self._size = len(self.dist)
+
+    def _alphabet(self) -> None:
+        """The letters, the step table, and the moves as columns.
+
+        Letter 0 is the identity's and letter k + 1 the syllable of column
+        k, a distinct move syllable; ``_merged`` adds the others as the BFS
+        meets them, so every letter is a syllable of a node."""
+        moves = self.spec.moves()
+        column = list(dict.fromkeys(s for _, g in moves for s in g))
+        self._syllables: list = [(-1, None), *column]  # the identity's factor is -1
+        self._letter_of = {s: k for k, s in enumerate(column, 1)}
+        self._step = np.empty((0, len(column)), dtype=np.int64)
+        self._add_rows()
+        # the moves in discovery order, single syllables first, and per move
+        # its syllable columns, -1 past its end
+        self._columns = np.array(sorted(range(len(moves)), key=lambda k: len(moves[k][1]) > 1))
+        self._unorder = np.argsort(self._columns)  # back to spec.moves() order
+        span = max(len(g) for _, g in moves)
+        self._word = np.full((len(moves), span + 1), -1, dtype=np.intp)
+        for c, k in enumerate(self._columns):
+            self._word[c, :len(moves[k][1])] = [column.index(s) for s in moves[k][1]]
+
+    def _add_rows(self) -> None:
+        """Step-table rows for the letters that have none: per column, the
+        product's last letter, the column's own where its syllable is of
+        another factor and appended, else the merge, ``_UNKNOWN`` until formed."""
+        m = self._step.shape[1]
+        factor = np.array([i for i, _ in self._syllables[len(self._step):]], dtype=int)
+        grows = factor[:, None] != [i for i, _ in self._syllables[1:m + 1]]
+        self._step = np.vstack([self._step, np.where(grows, np.arange(1, m + 1), _UNKNOWN)])
+
+    def _merged(self, a, s, create: bool) -> np.ndarray:
+        """The last letter of letter a times the syllable of column s, of the
+        same factor, formed once: ``_CANCEL`` for the identity, and a
+        syllable that is no letter becomes one (``create``: in the BFS only,
+        so the letters are final after it) or is ``_OUTSIDE``."""
+        m = self._step.shape[1]
+        cells, back = np.unique(a.astype(np.int64) * m + s, return_inverse=True)
+        rows, cols = np.divmod(cells, m)
+        found = []
+        for row, col in zip(rows.tolist(), cols.tolist()):
+            i, c = self._syllables[row]
+            f = self.spec.factors[i]
+            c = f.mul(c, self._syllables[col + 1][1])
+            k = _CANCEL if f.is_identity(c) else self._letter_of.get((i, c))
+            if k is None and create:
+                k = self._letter_of[i, c] = len(self._syllables)
+                self._syllables.append((i, c))
+            found.append(_OUTSIDE if k is None else k)
+        self._add_rows()
+        self._step[rows, cols] = found
+        return np.array(found)[back.ravel()]
 
     def _search(self, cap: int) -> None:
-        spec, radius = self.spec, self.radius
-        syllables: list[Syllable] = []
-        for length in range(1, radius + 1):
-            for i, f in enumerate(spec.factors):
-                syllables += [(i, c) for c in f.elements_of_length(length)]
-            if len(syllables) >= cap:  # each letter alone is a ball element
-                _over_cap(radius, cap)
-        width = self._width = len(syllables)
-        letter_of = self._letter_of = {s: k for k, s in enumerate(syllables)}
-        self._syllables = syllables
-        moves = spec.moves()
-        # per letter (rows, the identity's last) and move: the product's last
-        # letter, and whether it extends the element or merges on its prefix
-        step = self._step = np.empty((width + 1, len(moves)), dtype=np.int32)
-        grows = self._grows = np.ones(step.shape, dtype=bool)
-        for k, (_, ((fi, g),)) in enumerate(moves):
-            f = spec.factors[fi]
-            step[:, k] = letter_of.get((fi, g), _OUTSIDE)
-            for j, (i, c) in enumerate(syllables):
-                if i == fi:
-                    c = f.mul(c, g)
-                    grows[j, k] = False
-                    step[j, k] = (
-                        _CANCEL if f.is_identity(c) else letter_of.get((i, c), _OUTSIDE)
-                    )
-        # the keys in sorted order, a sentinel past every key last, and their ids
+        # the tree, its nodes numbered as added: per node its prefix (``_up``),
+        # letter and id (``_id``, -1 off the ball until the BFS ends), and the
+        # keys in sorted order with a sentinel past every key last, and their nodes
+        self._up, self._letter = np.array([-1], np.int32), np.array([0], np.int32)
         self._keys = np.array([np.iinfo(np.int64).max])
-        self._key_ids = np.array([-1], dtype=np.int32)
-        # per level, the prefix, letter, parent and parent move of its ids
-        levels = [np.array([[-1], [width], [-1], [-1]], dtype=np.int32)]
-        rows = []  # the neighbour ids of each expanded level
-        lo, hi, m = 0, 1, len(moves)
-        while len(levels) <= radius:  # a free product is infinite: no level is empty
-            key, ids = self._products(lo, *levels[-1][:2])
-            key, ids = key.ravel(), np.where(ids >= 0, ids, self._lookup(key)).ravel()
+        self._key_nodes = np.array([-1], dtype=np.int32)
+        m = len(self._columns)
+        self._id = np.zeros(1, dtype=np.int32)
+        frontier = np.zeros(1, dtype=np.int64)  # the last level's nodes
+        levels = [np.array([[0], [-1], [-1]], dtype=np.int32)]  # per level: nodes, parents, moves
+        table = []  # the neighbour ids of each expanded level
+        lo, hi = 0, 1
+        for _ in range(self.radius):  # a free product is infinite: no level is empty
+            node, key = self._products(frontier, create=True)
+            ids = np.where(node >= 0, self._id[node], -1)
             cells = np.flatnonzero((key >= 0) & (ids < 0))
             new, first, inverse = np.unique(key[cells], return_index=True, return_inverse=True)
             if hi + len(new) > cap:
-                _over_cap(radius, cap)
-            rank = np.empty(len(new), dtype=np.int32)
-            rank[np.argsort(first)] = np.arange(hi, hi + len(new), dtype=np.int32)
+                _over_cap(self.radius, cap)
+            order = np.argsort(first)  # the new keys in id order
+            rank = np.empty(len(new), dtype=np.int64)
+            rank[order] = np.arange(hi, hi + len(new))
             ids[cells] = rank[inverse.ravel()]
-            rows.append(ids.astype(np.int32).reshape(-1, m))
-            born = cells[np.sort(first)]  # each new id's first cell, in id order
-            levels.append(np.array(
-                [key[born] // width, key[born] % width, lo + born // m, born % m], dtype=np.int32
-            ))
-            at = np.searchsorted(self._keys, new)
-            self._keys = np.insert(self._keys, at, new)
-            self._key_ids = np.insert(self._key_ids, at, rank)
+            table.append(ids.reshape(-1, m)[:, self._unorder].astype(np.int32))
+            born = cells[first[order]]  # each new id's first cell, in id order
+            del node, key, ids, cells, inverse  # the level's scratch arrays
+            frontier = self._add_nodes(new, order)[order]
+            self._id[frontier] = np.arange(hi, hi + len(new))
+            levels.append(np.array([frontier, lo + born // m, self._columns[born % m]], np.int32))
             lo, hi = hi, hi + len(new)
-        self.prefix, self.letter, self.parent, self.pmove = np.concatenate(levels, axis=1)
-        self.last = np.array([i for i, _ in syllables] + [-1], dtype=np.int32)[self.letter]
-        sizes = [level.shape[1] for level in levels]
-        self.dist = np.repeat(np.arange(len(levels), dtype=np.int32), sizes)
+        nodes, self.parent, self.pmove = np.concatenate(levels, axis=1)
+        self._nodes = nodes  # per id, its node
+        self._number_off_ball(hi)
+        self.prefix = np.where(nodes > 0, self._id[self._up[nodes]], -1)
+        self.last = np.array([i for i, _ in self._syllables], dtype=np.int32)[self._letter[nodes]]
+        self.dist = np.repeat(np.arange(len(levels), dtype=np.int32), [len(lv[0]) for lv in levels])
         # neighbour ids of the first ``_known`` elements in spec.moves()
         # order, -1 outside the ball, and a last row of -1 that every id
         # without recorded neighbours reads
         self._known = lo
-        self._steps = np.concatenate(rows + [np.full((1, m), -1, dtype=np.int32)])
+        self._steps = np.concatenate(table + [np.full((1, m), -1)]).astype(np.int32)
 
-    def _products(self, lo: int, prefix, letter):
-        """Per id lo, lo + 1, ... (rows, with these ``prefix`` and ``letter``)
-        and move (columns): the product's key, -1 where none is looked up,
-        and its known id (the prefix where the last syllable cancels), or -1."""
-        step, grows = self._step[letter], self._grows[letter]
-        ids = np.arange(lo, lo + len(prefix), dtype=np.int64)
-        below = np.where(grows, ids[:, None], prefix[:, None])
-        key = np.where(step >= 0, below * self._width + step, -1)
-        return key, np.where(step == _CANCEL, prefix[:, None], -1)
+    def _products(self, nodes, create: bool):
+        """Per node of ``nodes`` (rows) and move (columns, in ``_columns``
+        order): the product's key and node id, -1 where no node holds it.
+        A move acts a syllable at a time; an intermediate product that is no
+        node is added (``create``) or ends the walk, as a syllable that is
+        no letter does, with -1 for both."""
+        word, f = self._word, len(nodes)
+        node = np.repeat(np.asarray(nodes, dtype=np.int64), len(word))
+        key = np.full(len(node), -1, dtype=np.int64)
+        prefix, letter = self._up[node], self._letter[node]
+        for t in range(word.shape[1] - 1):
+            # every move has a first syllable; later ones act on live cells
+            act = np.flatnonzero((node >= 0) & np.tile(word[:, t] >= 0, f)) if t else slice(None)
+            s, p, a = np.tile(word[:, t], f)[act], prefix[act], letter[act]
+            nl = self._step[a, s]
+            todo = np.flatnonzero(nl == _UNKNOWN)
+            if len(todo):
+                nl[todo] = self._merged(a[todo], s[todo], create)
+            up = np.where(nl == s + 1, node[act], p)  # a merge is no column's own letter
+            # a cancelled syllable leaves the prefix node itself
+            back = np.flatnonzero(nl == _CANCEL)
+            up[back], nl[back] = self._up[p[back]], self._letter[p[back]]
+            k = np.where(nl > 0, up * _WIDTH + nl, -1)  # the identity's key is -1
+            mid = np.tile(word[:, t + 1] >= 0, f)[act]
+            if create and mid.any():
+                gap, first = np.unique(k[mid & (k >= 0)], return_index=True)
+                self._add_nodes(gap, np.argsort(first))
+            found = self._lookup(k)
+            found[back] = p[back]
+            k[mid & (found < 0)] = -1
+            node[act], key[act], prefix[act], letter[act] = found, k, up, nl
+        return node, key
+
+    def _add_nodes(self, keys, order) -> np.ndarray:
+        """The node id of each of the sorted, distinct ``keys``, adding those
+        that are no node yet with ids in ``order`` (positions in ``keys``)."""
+        ids = self._lookup(keys)
+        new = np.flatnonzero(ids < 0)
+        add = order[ids[order] < 0]
+        ids[add] = np.arange(len(self._up), len(self._up) + len(add))
+        self._up = np.append(self._up, (keys[add] // _WIDTH).astype(np.int32))
+        self._letter = np.append(self._letter, (keys[add] % _WIDTH).astype(np.int32))
+        self._id = np.append(self._id, np.full(len(add), -1, dtype=np.int32))
+        at = np.searchsorted(self._keys, keys[new])
+        self._keys = np.insert(self._keys, at, keys[new])
+        self._key_nodes = np.insert(self._key_nodes, at, ids[new])
+        return ids
+
+    def _number_off_ball(self, hi: int) -> None:
+        """Give the off-ball nodes ids from ``hi``, past the ball: first the
+        prefixes of ball elements, by the first element they prefix, then
+        the rest in the order they were added."""
+        up = self._up[self._nodes[1:]]
+        up = up[self._id[up] < 0]
+        _, first = np.unique(up, return_index=True)
+        self._keyed = hi + len(first)  # the coset keys
+        self._id[up[np.sort(first)]] = np.arange(hi, self._keyed)
+        self._id[self._id < 0] = np.arange(self._keyed, len(self._id))
 
     def _lookup(self, key) -> np.ndarray:
-        """The id of each key, -1 where it is no key of the ball."""
+        """The node id of each key, -1 where it is no key of the tree."""
         at = np.searchsorted(self._keys, key)
-        return np.where(self._keys[at] == key, self._key_ids[at], -1)
+        return np.where(self._keys[at] == key, self._key_nodes[at], -1)
 
     @property
     def elements(self) -> list[Element]:
         """The elements by id, decoded on first use."""
         if self._elements is None:
-            out = [IDENTITY]
-            for j, k in zip(self.prefix[1:].tolist(), self.letter[1:].tolist()):
-                out.append(out[j] + (self._syllables[k],))
-            self._elements = out
+            prefix, letter = self._up.tolist(), self._letter.tolist()
+            syllables = self._syllables
+            out: list = [IDENTITY] * len(prefix)
+            for j in range(1, len(out)):  # a prefix is added before its nodes
+                out[j] = out[prefix[j]] + (syllables[letter[j]],)
+            self._elements = [out[j] for j in self._nodes.tolist()]
         return self._elements
 
     def element(self, j: int) -> Element:
         """The element of id j, decoded alone unless ``elements`` is listed."""
         if self._elements is not None:
             return self._elements[j]
-        out = []
+        up, letter, syllables = self._up, self._letter, self._syllables
+        out, j = [], self._nodes.item(j)
         while j > 0:
-            out.append(self._syllables[self.letter[j]])
-            j = self.prefix[j]
+            out.append(syllables[letter.item(j)])
+            j = up.item(j)
         return tuple(out[::-1])
 
-    def id_of(self, x: Element) -> int:
-        """The id of x, -1 outside the ball: one key lookup per syllable."""
-        j = 0
-        for syllable in x:
-            k = self._letter_of.get(syllable)
-            if k is None:
+    def _node(self, x: Element) -> int:
+        """The id of x's node (past the ball off it), -1 where no node holds
+        it: one key lookup per syllable, with x and each key memoized."""
+        memo = self._memo
+        j = memo.get(x)
+        if j is None:
+            if len(x) > self.radius * (len(self._word[0]) - 1):  # no node has more syllables
                 return -1
-            key = j * self._width + k
-            at = self._keys.searchsorted(key)
-            if self._keys[at] != key:
-                return -1
-            j = int(self._key_ids[at])
+            j, letter_of = 0, self._letter_of
+            for syllable in x:
+                k = letter_of.get(syllable)
+                key = -1 if k is None else j * _WIDTH + k  # -1 is no node's key
+                j = memo.get(key)
+                if j is None:
+                    at = self._keys.searchsorted(key)
+                    j = memo[key] = int(self._key_nodes[at]) if self._keys[at] == key else -1
+                if j < 0:
+                    break
+            memo[x] = j = self._id.item(j) if j >= 0 else -1
         return j
+
+    def id_of(self, x: Element) -> int:
+        """The id of x, -1 outside the ball."""
+        j = self._node(x)
+        return j if j < self._size else -1
 
     def coset_key(self, rep: Element) -> int:
         """The ``FactorCosets.key`` of the cosets rep H_i, for a canonical
         representative ``rep``; -1 when none of them meets the ball."""
-        return self.id_of(rep)
+        j = self._node(rep)
+        return j if j < self._keyed else -1
 
     def complete(self) -> np.ndarray:
         """Neighbour ids (one column per move, -1 outside the ball) of every
@@ -407,16 +516,12 @@ class Ball(IdTable):
             rows, cols = np.nonzero(old[lo:known] >= known)
             steps[old[lo + rows, cols], np.array(spec.inverse_moves())[cols]] = lo + rows
             if not spec.bipartite:  # edges inside the last level
-                steps[known:n] = self._last_level()
+                nodes, _ = self._products(self._nodes[known:n], create=False)
+                ids = np.where(nodes >= 0, self._id[nodes], n)
+                steps[known:n] = np.where(ids < n, ids, -1).reshape(n - known, -1)[:, self._unorder]
             self._steps = steps
             self._known = n
         return self._steps[:-1]
-
-    def _last_level(self) -> np.ndarray:
-        """The neighbour ids of the last level, from products."""
-        known = self._known
-        key, ids = self._products(known, self.prefix[known:], self.letter[known:])
-        return np.where(ids >= 0, ids, self._lookup(key))
 
     def _words(self, ids) -> np.ndarray:
         """The parent moves from the identity to each id, one row per id,
@@ -462,74 +567,15 @@ class Ball(IdTable):
         return self._cosets[i]
 
 
-class WordBall(Ball):
-    """The ball of a generating set with word moves (extra generators): the
-    tuple BFS, with a dict from element tuples to ids.  A prefix outside the
-    ball takes the id ``len(ball)`` plus a first-seen rank."""
-
-    def _search(self, cap: int) -> None:
-        products, columns = _right_products(self.spec)
-        index: dict[Element, int] = {IDENTITY: 0}
-        frontier = deque([IDENTITY])  # ids in order: the frontier's first is xid
-        dist, parent, pmove = array("i", [0]), array("i", [-1]), array("i", [-1])
-        nbr = array("i")
-        xid = 0
-        while frontier and dist[xid] < self.radius:
-            d1 = dist[xid] + 1
-            for k, y in zip(columns, products(frontier.popleft())):
-                j = index.get(y)
-                if j is None:
-                    j = len(index)
-                    if j >= cap:
-                        _over_cap(self.radius, cap)
-                    index[y] = j
-                    frontier.append(y)
-                    dist.append(d1)
-                    parent.append(xid)
-                    pmove.append(k)
-                nbr.append(j)
-            xid += 1
-        self._index = index
-        self._elements = list(index)
-        extra = self._extra = {}
-        prefix, last = array("i", [-1]), array("i", [-1])
-        for x in self._elements[1:]:
-            j = index.get(x[:-1])
-            prefix.append(extra.setdefault(x[:-1], len(index) + len(extra)) if j is None else j)
-            last.append(x[-1][0])
-        self.prefix = np.frombuffer(prefix, dtype=np.intc)
-        self.last = np.frombuffer(last, dtype=np.intc)
-        self.dist = np.frombuffer(dist, dtype=np.intc)
-        self.parent = np.frombuffer(parent, dtype=np.intc)
-        self.pmove = np.frombuffer(pmove, dtype=np.intc)
-        self._steps = _steps_table(nbr, columns)
-        self._known = xid
-
-    def id_of(self, x: Element) -> int:
-        return self._index.get(x, -1)
-
-    def coset_key(self, rep: Element) -> int:
-        j = self._index.get(rep)
-        return self._extra.get(rep, -1) if j is None else j
-
-    def _last_level(self) -> np.ndarray:
-        products, columns = _right_products(self.spec)
-        get = self._index.get
-        last = array("i")
-        for x in self._elements[self._known:]:
-            last.extend([get(y, -1) for y in products(x)])
-        return _steps_table(last, columns)[:-1]
-
-
 class FactorCosets:
     """The left cosets x H_i of factor i that meet a ball, by integer key.
 
     The key of a coset is the id of its canonical representative (x with
     any trailing i-syllable stripped): the element's ``prefix`` where its
     last syllable lies in factor i, its own id otherwise (an off-ball
-    prefix of a ``WordBall`` has an id past the ball).  ``key[id]`` is the
-    key of the element's coset, ``first[key]`` the distance of the coset's
-    nearest ball member, and ``members(key)`` its ids in BFS order.
+    prefix keys by its node id, past the ball).  ``key[id]`` is the key of
+    the element's coset, ``first[key]`` the distance of its nearest ball
+    member, and ``members(key)`` its ids in BFS order.
     """
 
     def __init__(self, ball: Ball, i: int):
@@ -554,42 +600,6 @@ def _over_cap(radius: int, cap: int):
     raise BallBudgetError(f"ball(radius={radius}) exceeded cap of {cap} elements")
 
 
-def _steps_table(rows: array, columns: list[int]) -> np.ndarray:
-    """Neighbour ids recorded row by row in ``columns`` order, as a table
-    with one column per move of ``spec.moves()`` and a last row of -1."""
-    rows.extend([-1] * len(columns))
-    table = np.frombuffer(rows, dtype=np.intc).reshape(-1, len(columns))
-    return table if columns == sorted(columns) else table[:, np.argsort(columns)]
-
-
-def _right_products(spec: GroupSpec):
-    """A function x -> [x * g for each move g], single-syllable moves first,
-    then longer words, and the index in ``spec.moves()`` of each column.
-
-    Appending a syllable reuses the move's own syllable tuple.
-    """
-    moves = spec.moves()
-    columns = [k for k, (_, g) in enumerate(moves) if len(g) == 1]
-    columns += [k for k, (_, g) in enumerate(moves) if len(g) > 1]
-    single = [(g[0][0], g[0][1], spec.factors[g[0][0]], g) for _, g in moves if len(g) == 1]
-    words = [g for _, g in moves if len(g) > 1]
-
-    def products(x: Element) -> list:
-        out = []
-        last = x[-1][0] if x else -1
-        for fi, coord, f, g in single:
-            if fi == last:
-                c = f.mul(x[-1][1], coord)
-                out.append(x[:-1] if f.is_identity(c) else x[:-1] + ((fi, c),))
-            else:
-                out.append(x + g)
-        for w in words:
-            out.append(mul(spec, x, w))
-        return out
-
-    return products, columns
-
-
 # one ball per (spec, radius) while something holds it: the backends of one
 # radius share it, and a weak value never keeps a ball alive past its holders
 _BALLS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -609,8 +619,7 @@ def ball(spec: GroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
         raise ValueError("radius must be nonnegative")
     found = _BALLS.get((spec, radius))
     if found is None:
-        build = Ball if spec.is_standard else WordBall
-        found = _BALLS[(spec, radius)] = build(spec, radius, cap)
+        found = _BALLS[(spec, radius)] = Ball(spec, radius, cap)
     elif len(found) > cap:
         _over_cap(radius, cap)
     return found

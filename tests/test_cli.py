@@ -192,6 +192,46 @@ def test_ball_budget_exit_three(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 3
 
 
+@pytest.mark.parametrize("name", ["c2c3.cfg", "c2c3-ext.cfg"])
+def test_huge_radius_exits_three_at_once(tmp_path, name):
+    # ball(r) has at least 2r + 1 elements, so this radius is refused before
+    # any BFS work, well inside the timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "periproj.cli", "run", "--config", config_path(name),
+         "--radius", "100000000", "--suite", "oracle", "--out", str(tmp_path / "rep")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "resource budget exceeded: ball(radius=100000000) exceeded cap of 2000000 elements\n"
+    )
+
+
+def test_long_extra_syllable_runs_at_once(tmp_path):
+    # the letters are the syllables the BFS meets, not every syllable up to
+    # the radius times the extra's length (Z^2 has 4n syllables of length n)
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(
+        "[group]\n"
+        "factors =\n    z t\n    z2 u v\n    cyclic 3 b\n"
+        "peripheral = 2\n"
+        "extra_generators =\n    w: u^100000\n"
+        "[backend]\nradius = 4\nhat_radius = 4\n"
+        "[run]\nsuites = oracle bcp\nthresholds = 2 4\nsamples = 20\n"
+        "sample_radius = 2\ncoset_radius = 2\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "periproj.cli", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "rep")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_ball_cap_bounds_sample_balls(tmp_path, capsys):
     # the backend balls fit the cap, but the suites' sample ball(4), 609
     # elements, does not

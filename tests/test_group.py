@@ -167,6 +167,16 @@ def test_ball_budget(zxz2):
         ball(zxz2, 6, cap=100)
 
 
+@pytest.mark.parametrize("radius", [0, 1, 5, 40])
+def test_ball_cap_below_two_radius_plus_one(radius):
+    # ball(r) of an infinite group has at least 2r + 1 elements, exactly so
+    # for C2 * C2, and a smaller cap is refused
+    spec = GroupSpec([CyclicFactor(2, "a"), CyclicFactor(2, "b")])
+    assert len(ball(spec, radius, cap=2 * radius + 1)) == 2 * radius + 1
+    with pytest.raises(BallBudgetError, match=rf"^ball\(radius={radius}\) exceeded cap"):
+        ball(GroupSpec(spec.factors), radius, cap=2 * radius)
+
+
 def _dict_ball(spec, radius):
     """The dict BFS that the indexed ball replaced: element -> distance in
     BFS order, single-syllable moves before longer words."""
@@ -225,17 +235,59 @@ def standard_specs(draw):
     return GroupSpec(factors)
 
 
+@st.composite
+def extended_specs(draw):
+    """A ``standard_specs`` group with 1 or 2 extra generators, each a
+    random word of 1-3 syllables of length 1 or 2."""
+    spec = draw(standard_specs())
+    extras = []
+    for n in range(draw(st.integers(1, 2))):
+        word, prev = [], -1
+        for _ in range(draw(st.integers(1, 3))):
+            fi = draw(st.sampled_from([i for i in range(len(spec.factors)) if i != prev]))
+            f = spec.factors[fi]
+            coords = f.elements_of_length(1) + f.elements_of_length(2)
+            word.append((fi, draw(st.sampled_from(coords))))
+            prev = fi
+        extras.append((f"w{n}", tuple(word)))
+    return GroupSpec(spec.factors, extras)
+
+
+def _extended(factors, *extras):
+    """The free product of ``factors`` with the (name, word) extras."""
+    return GroupSpec(factors, [(name, parse_element(GroupSpec(factors), w)) for name, w in extras])
+
+
+def _zz2():
+    return [InfiniteCyclicFactor("t"), FreeAbelianRank2Factor("u", "v")]
+
+
 BALL_SPECS = {
     "c4*c6": lambda: GroupSpec([CyclicFactor(4, "a"), CyclicFactor(6, "b")]),
     "s3*c2": lambda: GroupSpec([_s3_table("s", "x"), CyclicFactor(2, "c")]),
     "z*z": lambda: GroupSpec([InfiniteCyclicFactor("s"), InfiniteCyclicFactor("t")]),
+    "c3*c5+aba": lambda: _extended([CyclicFactor(3, "a"), CyclicFactor(5, "b")], ("aba", "a b a")),
+    "z*z2+tu": lambda: _extended(_zz2(), ("tu", "t u")),
+    # letters up to 3r long: syllables outgrow the radius
+    "z*z2+t^3": lambda: _extended(_zz2(), ("w", "t^3")),
+    # a word extra listed before a single-syllable one: singles are discovered first
+    "z*z2+tu,t^2": lambda: _extended(_zz2(), ("tu", "t u"), ("w", "t^2")),
+    # the off-ball prefix a b a of the first word's product is a node only
+    # after the second word's prefix a b^2: prefix keys rank by the first
+    # element they prefix, not by the order the nodes were added
+    "c3*c5+abab,ab2a": lambda: _extended(
+        [CyclicFactor(3, "a"), CyclicFactor(5, "b")], ("p", "a b a b"), ("q", "a b^2 a")
+    ),
 }
+
+DRAWN_SPECS = {"drawn": standard_specs, "drawn-extended": extended_specs}
 
 
 @pytest.mark.parametrize(
     "name, radius",
     [("zxz2", 5), ("c2c3", 9), ("c2c3_ext", 8), ("zxz2", 8), ("c4*c6", 6), ("s3*c2", 8),
-     ("z*z", 7), ("drawn", 5)],
+     ("z*z", 7), ("drawn", 5), ("c3*c5+aba", 5), ("z*z2+tu", 4), ("z*z2+t^3", 4),
+     ("z*z2+tu,t^2", 4), ("c3*c5+abab,ab2a", 3), ("drawn-extended", 4)],
 )
 @given(data=st.data())
 @settings(max_examples=25, deadline=None,
@@ -247,9 +299,10 @@ def test_ball_matches_dict_bfs(request, name, radius, data):
     # outside, where ``id_of`` gives -1 too.  Each coset key is the id of
     # the coset's canonical representative (past the ball by a first-seen
     # rank when that lies outside), with its nearest distance.  "drawn" is
-    # a standard set of 2-3 factors at a radius of at most 5.
-    if name == "drawn":
-        spec, radius = data.draw(standard_specs()), data.draw(st.integers(0, radius))
+    # a standard set of 2-3 factors at a radius of at most 5, and
+    # "drawn-extended" one with extra words at a radius of at most 4.
+    if name in DRAWN_SPECS:
+        spec, radius = data.draw(DRAWN_SPECS[name]()), data.draw(st.integers(0, radius))
         try:
             got = ball(spec, radius, cap=6_000)
         except BallBudgetError:
@@ -295,16 +348,12 @@ def _completion_specs():
     c4c6 = [CyclicFactor(4, "a"), CyclicFactor(6, "b")]
     s3 = _s3_table("s", "x")
     c3c5 = [CyclicFactor(3, "a"), CyclicFactor(5, "b")]
-    zz2 = [InfiniteCyclicFactor("t"), FreeAbelianRank2Factor("u", "v")]
-
-    def extended(factors, name, word):
-        return GroupSpec(factors, [(name, parse_element(GroupSpec(factors), word))])
-
+    zz2 = _zz2()
     yield "c4*c6", GroupSpec(c4c6), 6, True
     yield "s3*c2", GroupSpec([s3, CyclicFactor(2, "c")]), 8, True
-    yield "z*z2+tuv", extended(zz2, "tuv", "t u v"), 4, True
-    yield "c3*c5+aba", extended(c3c5, "aba", "a b a"), 5, False
-    yield "z*z2+tu", extended(zz2, "tu", "t u"), 4, False
+    yield "z*z2+tuv", _extended(zz2, ("tuv", "t u v")), 4, True
+    yield "c3*c5+aba", _extended(c3c5, ("aba", "a b a")), 5, False
+    yield "z*z2+tu", _extended(zz2, ("tu", "t u")), 4, False
 
 
 @pytest.mark.parametrize(
