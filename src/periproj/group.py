@@ -575,24 +575,47 @@ class FactorCosets:
     last syllable lies in factor i, its own id otherwise (an off-ball
     prefix keys by its node id, past the ball).  ``key[id]`` is the key of
     the element's coset, ``first[key]`` the distance of its nearest ball
-    member, and ``members(key)`` its ids in BFS order.
+    member, and ``members(key)`` its ids in BFS order.  ``nearest(key)``
+    and ``points(key)`` decode a coset's nearest members and all of its
+    members once per key, on first use, so only the keys a run asks for
+    are ever decoded.
     """
 
     def __init__(self, ball: Ball, i: int):
+        self._ball = weakref.proxy(ball)  # the ball holds its index: no cycle
         self.key = np.where(ball.last == i, ball.prefix, np.arange(len(ball)))
         self._order = np.argsort(self.key, kind="stable")
         self._sorted = self.key[self._order]
         head = np.flatnonzero(np.r_[True, self._sorted[1:] != self._sorted[:-1]])
         self.first = np.full(int(self._sorted[-1]) + 1, -1, dtype=np.int32)
         self.first[self._sorted[head]] = ball.dist[self._order[head]]
-        self._members: dict[int, list[int]] = {}
+        self._nearest: dict[int, list[Element]] = {}
+        self._points: dict[int, list[Element]] = {}
 
     def members(self, key: int) -> list[int]:
-        """The ids of the coset's ball members, in BFS order (memoized)."""
-        found = self._members.get(key)
+        """The ids of the coset's ball members, in BFS order."""
+        lo, hi = np.searchsorted(self._sorted, [key, key + 1]).tolist()
+        return self._order[lo:hi].tolist()
+
+    def distance(self, key: int) -> int:
+        """``first[key]``, -1 where the coset has no ball member."""
+        return self.first.item(key) if 0 <= key < len(self.first) else -1
+
+    def nearest(self, key: int) -> list[Element]:
+        """The coset's ball members at distance ``first[key]``, the head of
+        ``members(key)``, decoded once per key."""
+        found = self._nearest.get(key)
         if found is None:
-            lo, hi = np.searchsorted(self._sorted, [key, key + 1]).tolist()
-            found = self._members[key] = self._order[lo:hi].tolist()
+            ids, dist = self.members(key), self._ball.by_id
+            ids = [j for j in ids if dist[j] == dist[ids[0]]]
+            found = self._nearest[key] = [self._ball.element(j) for j in ids]
+        return found
+
+    def points(self, key: int) -> list[Element]:
+        """The coset's ball members in BFS order, decoded once per key."""
+        found = self._points.get(key)
+        if found is None:
+            found = self._points[key] = [self._ball.element(j) for j in self.members(key)]
         return found
 
 
@@ -605,22 +628,25 @@ def _over_cap(radius: int, cap: int):
 _BALLS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def ball(spec: GroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP) -> Ball:
+def ball(spec: GroupSpec, radius: int, cap: int | None = None) -> Ball:
     """All elements within ``radius`` of the identity, with exact BFS distances.
 
     Uses the spec's full generating set (standard plus extras).  Iteration
     order of the returned ``Ball`` is the deterministic BFS order.  Raises
     BallBudgetError when the ball has more than ``cap`` elements; the metric
     is left-invariant, so balls at other centers are left translates.  While
-    a ball is alive, later calls with the same spec and radius return it,
-    with the same cap check a fresh build makes.
+    a ball is alive, later calls with the same spec and radius return it:
+    checked against ``cap`` when one is given, and as it is without one, so
+    a ball built under a larger configured cap is not refused by the
+    default.  A fresh build without a cap uses ``DEFAULT_BALL_CAP``.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     found = _BALLS.get((spec, radius))
     if found is None:
+        cap = DEFAULT_BALL_CAP if cap is None else cap
         found = _BALLS[(spec, radius)] = Ball(spec, radius, cap)
-    elif len(found) > cap:
+    elif cap is not None and len(found) > cap:
         _over_cap(radius, cap)
     return found
 

@@ -27,9 +27,12 @@ Projection routes:
   least certified minimizer in BFS mode;
 * ``project_block(P, xs)``: ``project`` for each x, None where it is not
   certified.  Exact mode reads each gate off the syllables of x, with no
-  element products; BFS mode loops over ``project``;
+  element products; BFS mode reads the id of every x^-1 rep off one walk
+  (below) and the nearest ball members of its coset, decoded once per
+  coset key (``FactorCosets.nearest``), so a cell forms only its x*g;
 * ``coset_minimizers(P, x)``: the whole certified minimizing set, by an
-  explicit scan.
+  explicit scan in exact mode and the nearest members of x^-1 P in BFS
+  mode.
 
 Exact blocks never multiply elements: both inputs are encoded by syllable
 ids (a normal form is a path in the Bass-Serre tree of the free product), a
@@ -335,20 +338,27 @@ class BfsBackend:
         ``level_cap`` is ignored, as the ball already bounds the coset.  The
         ball's coset index is built on the first coset query, so a backend
         used only for distances never pays for it."""
-        return [self.table.element(j) for j in self._coset_ids(P)]
+        key = self.table.coset_key(P.rep)  # key -1 (no node) lists no member
+        return list(self.table.cosets(P.factor_index).points(key))
 
-    def _coset_ids(self, P: Coset) -> list[int]:
-        cosets = self.table.cosets(P.factor_index)
-        key = self.table.coset_key(P.rep)
-        return cosets.members(key) if key >= 0 else []
+    def _coset_key(self, P: Coset, x: Element):
+        """The ball's coset index of P's factor and the key of the coset
+        x^-1 P, -1 where that coset meets no node of the ball."""
+        spec = self.spec
+        rep = coset_of(spec, mul(spec, inv(spec, x), P.rep), P.factor_index).rep
+        return self.table.cosets(P.factor_index), self.table.coset_key(rep)
 
-    def distance(self, x: Element, y: Element) -> int:
+    def _id(self, x: Element, y: Element) -> int:
+        """The ball id of x^-1 y; OutOfRangeError outside the ball."""
         j = self.table.id_of(mul(self.spec, inv(self.spec, x), y))
         if j < 0:
             raise OutOfRangeError(
                 f"pair at distance > {self.radius}: not certified by this backend"
             )
-        return self.table.by_id[j]
+        return j
+
+    def distance(self, x: Element, y: Element) -> int:
+        return self.table.by_id[self._id(x, y)]
 
     def distance_block(self, xs, ys) -> np.ndarray:
         """d(x, y) for x in ``xs`` (rows) and y in ``ys`` (columns), -1
@@ -392,36 +402,46 @@ class BfsBackend:
 
         x*g lies in P exactly when g lies in the coset x^-1 P, and the ball
         members of that coset are listed in BFS order, so the first members
-        listed are the minimizers, in the order a scan of the ball's distance
-        shells would meet them.
+        listed are the minimizers (``FactorCosets.nearest``), in the order a
+        scan of the ball's distance shells would meet them.
         """
-        spec = self.spec
-        table = self.table
         if limit is None or limit > self.radius + 1:
             limit = self.radius + 1
-        members = self._coset_ids(
-            coset_of(spec, mul(spec, inv(spec, x), P.rep), P.factor_index)
-        )
-        dist = table.by_id
-        if not members or dist[members[0]] >= limit:
+        index, key = self._coset_key(P, x)
+        best = index.distance(key)
+        if best < 0 or best >= limit:
             raise OutOfRangeError(f"no coset point within {limit - 1} of x")
-        best = dist[members[0]]
-        found = []
-        for j in members:
-            if dist[j] > best:
-                break
-            found.append(mul(spec, x, table.element(j)))
-        return best, found
+        return best, [mul(self.spec, x, g) for g in index.nearest(key)]
 
     def project(self, P: Coset, x: Element) -> Element:
-        """The least (by ``sort_key``) of the certified minimizers."""
-        _, points = self.coset_minimizers(P, x, self.distance(x, P.rep) + 1)
-        return min(points, key=lambda p: sort_key(self.spec, p))
+        """The least (by ``sort_key``) of the certified minimizers, where
+        x^-1 rep lies in the ball: x*g for the nearest ball members g of the
+        coset of x^-1 rep."""
+        return self._least(P, x, self._id(x, P.rep))
+
+    def _least(self, P: Coset, x: Element, j: int) -> Element:
+        """The least x*g over the nearest members g of the coset of the
+        ball element j, j = id(x^-1 rep)."""
+        index = self.table.cosets(P.factor_index)
+        nearest = index.nearest(index.key.item(j))
+        spec = self.spec
+        if len(nearest) == 1:
+            return mul(spec, x, nearest[0])
+        return min((mul(spec, x, g) for g in nearest), key=lambda p: sort_key(spec, p))
 
     def project_block(self, P: Coset, xs) -> list:
-        """``project`` for each x, None where it is not certified."""
+        """``project`` for each x, None where it is not certified: the id of
+        x^-1 rep is a walk in the ball from x^-1 along the parent moves of
+        rep (``Ball.walk``), so a cell forms only its output products.  A
+        cell whose walk leaves the ball falls back to ``project``."""
+        table = self.table
+        starts = [table.id_of(inv(self.spec, x)) for x in xs]
+        ends = table.walk(starts, [table.id_of(P.rep)])[:, 0].tolist()
         out = []
-        for x in xs:
+        for x, j in zip(xs, ends):
+            if j >= 0:
+                out.append(self._least(P, x, j))
+                continue
             try:
                 out.append(self.project(P, x))
             except OutOfRangeError:
@@ -429,7 +449,12 @@ class BfsBackend:
         return out
 
     def coset_distance(self, P: Coset, x: Element) -> int:
-        return self.coset_minimizers(P, x)[0]
+        """d(x, P): ``first`` of the coset x^-1 P, read with no decode."""
+        index, key = self._coset_key(P, x)
+        best = index.distance(key)
+        if best < 0:
+            raise OutOfRangeError(f"no coset point within {self.radius} of x")
+        return best
 
     def geodesic(self, x: Element, y: Element) -> VertexPath:
         """Greedy geodesic (``greedy_moves``): at each vertex the first move,

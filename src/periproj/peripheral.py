@@ -13,8 +13,8 @@ Projection routes:
   None where it is not certified.  In exact mode it reads the gate off the
   syllables of x (rep's successor in x when rep is a syllable prefix of x
   followed by an ``i``-syllable, else rep), with no products; in BFS mode it
-  loops over ``project``.  The ``ap`` and ``battery`` suites project this
-  way.
+  walks to every x^-1 rep in the ball at once and reads the nearest members
+  of its coset.  The ``ap`` and ``battery`` suites project this way.
 * the backend's ``coset_minimizers``: the certified set of distance
   minimizers over the coset; the certificate guarantees the true minimum was
   seen, or OutOfRangeError is raised.  With a BFS backend the minimizers are

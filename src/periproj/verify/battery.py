@@ -157,6 +157,8 @@ def lemma_battery(
         if path.kind in ("geodesic", "lift"):
             block, at = _path_block(backend, path, prof, ends, tables, r_values, C)
             from_x = block[0].tolist()
+        if path.kind == "geodesic":
+            stays = _stay_diameters(prof, [end is not None for end in ends], block, r_values, C)
         for k, P in enumerate(cosets):
             if ends[k] is None:
                 for name in ROW_NAMES:
@@ -185,7 +187,7 @@ def lemma_battery(
                 for r in r_values:
                     _first_entry(path, dprof, to_pix, C, r, rows, base_witness)
                     _grazing(path, dprof, image_gaps, C, r, rows, base_witness)
-                    _overlap(path, dprof, block, gap, C, r, rows, base_witness)
+                    _overlap(stays[r][k], gap, C, r, rows, base_witness)
 
     _concatenation(spec, backend, rng, paths, plan, rows["concatenation_quasigeodesic"])
     return BatteryReport(rows)
@@ -351,20 +353,40 @@ def _grazing(path, dprof, image_gaps, C, r, rows, witness) -> None:
     )
 
 
-def _overlap(path, dprof, block, gap, C, r, rows, witness) -> None:
+def _stay_diameters(prof, live, block, r_values, C) -> dict:
+    """Per radius r of ``r_values`` and coset row of a geodesic's profile,
+    the diameter of the path's stay inside N_r(P), from one mask over the
+    vertex rows of ``block`` (``_path_block``): None where r < 2C, the row
+    is not ``live`` or fewer than two vertices stay, and -1 where a pair of
+    the stay is refused."""
+    n = prof.shape[1]
+    stays = {r: [None] * len(prof) for r in r_values}
+    rs = np.array(r_values)
+    inside = (prof <= rs[:, None, None]) & (rs >= 2 * C)[:, None, None]  # radius x coset x vertex
+    inside &= np.asarray(live, dtype=bool)[:, None]
+    q, k = np.nonzero(np.count_nonzero(inside, axis=2) >= 2)
+    if len(q):
+        stay = inside[q, k]
+        both = stay[:, :, None] & stay[:, None, :] & np.triu(np.ones((n, n), dtype=bool), 1)
+        pairs = block[:n, :n]
+        diam = np.where(both, pairs, -1).max(axis=(1, 2))
+        diam[(both & (pairs < 0)).any(axis=(1, 2))] = -1
+        for a, b, d in zip(q.tolist(), k.tolist(), diam.tolist()):
+            stays[r_values[a]][b] = d
+    return stays
+
+
+def _overlap(diam, gap, C, r, rows, witness) -> None:
     """diam of a geodesic's stay inside N_r(P) vs. the projection gap;
-    ``block`` holds d(v_i, v_j) in its first rows."""
-    if r < 2 * C:
+    ``diam`` is None where no pair of vertices stays (``_stay_diameters``)
+    and -1 where a pair is refused."""
+    if diam is None:
         return
     row = rows["neighborhood_overlap"]
-    inside = [i for i, d in enumerate(dprof) if d <= r]
-    if len(inside) < 2:
-        return
-    pair = block[inside][:, inside][np.triu_indices(len(inside), 1)]
-    if (pair < 0).any():
+    if diam < 0:
         row.skipped += 1
         return
-    row.record(int(pair.max()), gap + 18 * r + 62 * C, dict(witness, r=r))
+    row.record(diam, gap + 18 * r + 62 * C, dict(witness, r=r))
 
 
 def _large_gap(path, dprof, to_pix, to_piy, C, rows, witness) -> None:

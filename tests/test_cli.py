@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from periproj import ConedOffBackend, cli, group
 from periproj.cli import main, parse_config
-from periproj.errors import ConfigError, OutOfRangeError, TheoremViolationError
+from periproj.errors import BallBudgetError, ConfigError, OutOfRangeError, TheoremViolationError
 from periproj.group import ball
 from periproj.verify import seeded_pairs, triangle_sample
 
@@ -248,6 +248,27 @@ def test_ball_cap_bounds_sample_balls(tmp_path, capsys):
         "resource budget exceeded: ball(radius=4) exceeded cap of 100 elements\n"
     )
     assert not (tmp_path / "rep").exists()
+
+
+def test_ball_cap_above_default_holds_sample_balls(tmp_path, monkeypatch):
+    # the suites ask for their sample balls without a cap and get the balls
+    # the workspace built under the configured one, so a cap above the
+    # default runs (here the default is shrunk below the sample ball(3),
+    # 143 elements); a fresh ball without a cap still meets the default
+    monkeypatch.setattr(group, "DEFAULT_BALL_CAP", 100)
+    cfg = tmp_path / "zxz2-big-cap.cfg"
+    cfg.write_text(
+        "[group]\n"
+        "factors =\n    z t\n    z2 u v\n"
+        "peripheral = 1\n"
+        "[backend]\nradius = 4\nhat_radius = 4\nball_cap = 1000000\n"
+        "[run]\nsuites = oracle ap battery dstg bcp\nthresholds = 2 4\nsamples = 20\n"
+        "sample_radius = 3\ncoset_radius = 2\n"
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
+    spec = parse_config(str(cfg)).group
+    with pytest.raises(BallBudgetError, match="exceeded cap of 100 elements"):
+        ball(spec, 3)
 
 
 def test_most_configurations_skipped_exit_three(tmp_path, capsys):

@@ -23,7 +23,8 @@ from periproj import (
     separating_cosets,
 )
 from periproj import group, metric
-from periproj.group import IDENTITY, mul
+from periproj.factor import CyclicFactor
+from periproj.group import IDENTITY, inv, mul, sort_key
 from periproj.peripheral import contains, parse_coset
 
 
@@ -167,6 +168,76 @@ def test_bfs_minimizers_match_shell_scan(request, name):
                     message = f"no coset point within {limit - 1} of x"
                     with pytest.raises(OutOfRangeError, match=f"^{message}$"):
                         backend.coset_minimizers(P, x, limit)
+
+
+def _projection_case(request, name):
+    """(fresh BFS backend, sample points, cosets) for the projection test.
+    A fresh spec keeps the ball's last level unrecorded (a shared ball is
+    completed by the coned-off window), so walks through it fall back.  On
+    C2 * C5 * C2 with w = a b^2, ball(3) has walks that pass through its
+    last level and come back, and an off-ball coset key with no member:
+    a c b^3 is the syllable prefix of ball elements but lies off the ball,
+    and so does every point of a c b^3 H_c."""
+    rng = random.Random(11)
+    if name == "c2c5c2+ab2":
+        base = GroupSpec([CyclicFactor(2, "a", True), CyclicFactor(5, "b", True),
+                          CyclicFactor(2, "c", True)])
+        spec = GroupSpec(base.factors, [("w", parse_element(base, "a b^2"))])
+        backend = BfsBackend(spec, 3)
+        xs = list(ball(spec, 2))
+        extra = [coset_of(spec, parse_element(spec, "a c b^3"), 2)]
+    else:
+        fixture = request.getfixturevalue(name)
+        old = fixture.spec
+        spec = GroupSpec(old.factors, old.extra_generators, name=old.name)
+        backend = BfsBackend(spec, fixture.radius)
+        xs = list(ball(spec, 6 if name == "ext_bfs8" else 1))
+        if name == "zxz2_bfs6":
+            xs += rng.sample(list(ball(spec, 4)), 30)
+        extra = []
+    return backend, xs, cosets_meeting_ball(spec, ball(spec, 3)) + extra
+
+
+@pytest.mark.parametrize("name", ["ext_bfs8", "zxz2_bfs6", "c2c5c2+ab2"])
+def test_bfs_projections_match_shell_scan(request, name):
+    # project, project_block and coset_distance against the shell scan: the
+    # least minimizer by sort_key, the projection refused exactly where
+    # x^-1 rep leaves the ball (rep is no point of x * ball) and the
+    # distance exactly where the shell scan meets no point of the coset
+    backend, xs, cosets = _projection_case(request, name)
+    spec, table = backend.spec, backend.table
+    fallback = {False: 0, True: 0}
+    blocks = {P: backend.project_block(P, xs) for P in cosets}
+    starts = [table.id_of(inv(spec, x)) for x in xs]
+    for k, x in enumerate(xs):
+        reference = _shell_scan_reference(spec, backend, cosets, x)
+        reached = {mul(spec, x, g) for g in table}
+        for P in cosets:
+            expected = reference.get(P)
+            if expected is None:
+                with pytest.raises(OutOfRangeError):
+                    backend.coset_distance(P, x)
+            else:
+                assert backend.coset_distance(P, x) == expected[0]
+            if P.rep in reached:
+                point = min(expected[1], key=lambda p: sort_key(spec, p))
+                assert backend.project(P, x) == point
+            else:
+                point = None
+                with pytest.raises(OutOfRangeError):
+                    backend.project(P, x)
+            assert blocks[P][k] == point
+            target = table.id_of(P.rep)
+            if min(starts[k], target) >= 0 > table.walk([starts[k]], [target])[0, 0]:
+                fallback[point is not None] += 1
+    # cells whose walk leaves the recorded levels: refused, and certified
+    assert fallback[False] > 0
+    if name == "c2c5c2+ab2":
+        assert fallback[True] > 0
+        P = cosets[-1]
+        assert table.coset_key(P.rep) >= len(table)  # an off-ball key
+        assert table.cosets(2).distance(table.coset_key(P.rep)) == -1
+        assert backend.coset_points(P) == []
 
 
 def test_bfs_coset_index_is_lazy(zxz2, monkeypatch):

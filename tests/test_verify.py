@@ -765,8 +765,9 @@ def test_battery_rows_skip_once_per_refused_read():
     battery._grazing(path, dprof, refused, 0, 0, rows, witness)
     block = np.zeros((4, 4), dtype=np.int32)
     block[1, 2] = block[1, 3] = -1
-    battery._overlap(path, dprof, block, 0, 0, 1, rows, witness)
-    battery._overlap(path, dprof, block, 0, 0, 2, rows, witness)
+    stays = battery._stay_diameters(np.array([dprof]), [True], block, [1, 2], 0)
+    battery._overlap(stays[1][0], 0, 0, 1, rows, witness)
+    battery._overlap(stays[2][0], 0, 0, 2, rows, witness)
     census = {name: (row.examined, row.skipped) for name, row in rows.items()}
     assert census == {
         "far_path_contraction": (0, 0),
