@@ -41,7 +41,6 @@ from .group import (
     DEFAULT_BALL_CAP,
     Element,
     GroupSpec,
-    IdTable,
     ball,
     element_str,
     inv,
@@ -91,7 +90,7 @@ class ConedOffBackend:
         # neighbour u along the inverse move
         labels = [label for label, _ in self.spec.moves()]
         self._back = list(zip(labels, self.spec.inverse_moves()))
-        self.hat_table = IdTable(self.gtable, self._hat_bfs().tolist())
+        self._hat = self._hat_bfs().tolist()  # by ball id
         self._pred_cache: dict = {}
 
     def _hat_bfs(self) -> np.ndarray:
@@ -140,10 +139,10 @@ class ConedOffBackend:
         """The window's coned-off distance from the identity to w."""
         if self.gtable is None:
             raise UnsupportedMetricError("backend was built without a window")
-        d = self.hat_table.get(w)
-        if d is None:
+        j = self.gtable.id_of(w)
+        if j < 0:
             raise OutOfRangeError("target outside the window")
-        return d
+        return self._hat[j]
 
     def geodesic(self, x: Element, y: Element) -> VertexPath:
         """Standard mode: the canonical geodesic, one cone edge per peripheral
@@ -175,7 +174,7 @@ class ConedOffBackend:
             return cached
         spec = self.spec
         element = self.gtable.element
-        hat = self.hat_table.by_id
+        hat = self._hat
         j = self.gtable.id_of(v)
         out = []
         row = self._steps[j].tolist()

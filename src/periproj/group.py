@@ -198,47 +198,10 @@ _CANCEL, _OUTSIDE, _UNKNOWN = -1, -2, -3
 _WIDTH = 1 << 31
 
 
-class IdTable(Mapping):
-    """A read-only map from the elements of a ball to ints: the value of x
-    is ``by_id[ball.id_of(x)]`` (the ball's memoized key walk), iteration
-    follows id order.  A ``Ball`` is the table of its own distances."""
-
-    def __init__(self, ball: Ball, by_id):
-        self.id_of = ball.id_of
-        self.ball = ball
-        self.by_id = by_id
-
-    @property
-    def elements(self) -> list[Element]:
-        return self.ball.elements
-
-    def __getitem__(self, x: Element) -> int:
-        j = self.id_of(x)
-        if j < 0:
-            raise KeyError(x)
-        return self.by_id[j]
-
-    def get(self, x: Element, default=None):
-        j = self.id_of(x)
-        return default if j < 0 else self.by_id[j]
-
-    def __contains__(self, x) -> bool:
-        return self.id_of(x) >= 0
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def items(self):
-        """An iterator over the (element, value) pairs in id order."""
-        return zip(self.elements, self.by_id)
-
-    def __len__(self) -> int:
-        return len(self.by_id)
-
-
-class Ball(IdTable):
+class Ball(Mapping):
     """The elements within ``radius`` of the identity, with exact BFS
-    distances, as a map element -> distance in BFS order, and indexed.
+    distances, as a read-only map element -> distance in BFS order, and
+    indexed: the value of x is ``by_id[id_of(x)]``.
 
     An element's id is its BFS position.  Per id the ball keeps the
     distance, the BFS parent and the parent move (an index into
@@ -260,10 +223,9 @@ class Ball(IdTable):
     product that is no node yet becomes a node off the ball.  New elements
     take ids in the order of first occurrence over (frontier id, move),
     single syllables before words: the BFS discovery order.  Off-ball nodes
-    take ids past the ball, the prefixes of ball elements first, by the
-    first element they prefix.  ``element`` and iteration decode tuples on
-    demand; ``id_of`` walks x's syllables through the keys, memoizing each
-    element and key.
+    take the ids past the ball in the order they were added.  ``element``
+    and iteration decode tuples on demand; ``id_of`` walks x's syllables
+    through the keys, memoizing each element and key.
     """
 
     def __init__(self, spec: GroupSpec, radius: int, cap: int):
@@ -274,7 +236,7 @@ class Ball(IdTable):
             _over_cap(radius, cap)
         self._elements: list[Element] | None = None
         self._cosets: dict[int, FactorCosets] = {}
-        self._memo: dict = {}  # element -> id (past the ball off it), and key -> node
+        self._memo: dict = {}  # element -> its node's id, and key -> node
         self._alphabet()
         self._search(cap)
         self.by_id = memoryview(self.dist)
@@ -365,7 +327,7 @@ class Ball(IdTable):
             lo, hi = hi, hi + len(new)
         nodes, self.parent, self.pmove = np.concatenate(levels, axis=1)
         self._nodes = nodes  # per id, its node
-        self._number_off_ball(hi)
+        self._id[self._id < 0] = np.arange(hi, len(self._id))  # off-ball nodes as added
         self.prefix = np.where(nodes > 0, self._id[self._up[nodes]], -1)
         self.last = np.array([i for i, _ in self._syllables], dtype=np.int32)[self._letter[nodes]]
         self.dist = np.repeat(np.arange(len(levels), dtype=np.int32), [len(lv[0]) for lv in levels])
@@ -423,17 +385,6 @@ class Ball(IdTable):
         self._key_nodes = np.insert(self._key_nodes, at, ids[new])
         return ids
 
-    def _number_off_ball(self, hi: int) -> None:
-        """Give the off-ball nodes ids from ``hi``, past the ball: first the
-        prefixes of ball elements, by the first element they prefix, then
-        the rest in the order they were added."""
-        up = self._up[self._nodes[1:]]
-        up = up[self._id[up] < 0]
-        _, first = np.unique(up, return_index=True)
-        self._keyed = hi + len(first)  # the coset keys
-        self._id[up[np.sort(first)]] = np.arange(hi, self._keyed)
-        self._id[self._id < 0] = np.arange(self._keyed, len(self._id))
-
     def _lookup(self, key) -> np.ndarray:
         """The node id of each key, -1 where it is no key of the tree."""
         at = np.searchsorted(self._keys, key)
@@ -490,9 +441,32 @@ class Ball(IdTable):
 
     def coset_key(self, rep: Element) -> int:
         """The ``FactorCosets.key`` of the cosets rep H_i, for a canonical
-        representative ``rep``; -1 when none of them meets the ball."""
-        j = self._node(rep)
-        return j if j < self._keyed else -1
+        representative ``rep``: the id of rep's node, -1 where no node holds
+        rep (and so no element of the ball lies in rep H_i)."""
+        return self._node(rep)
+
+    def __getitem__(self, x: Element) -> int:
+        j = self.id_of(x)
+        if j < 0:
+            raise KeyError(x)
+        return self.by_id[j]
+
+    def get(self, x: Element, default=None):
+        j = self.id_of(x)
+        return default if j < 0 else self.by_id[j]
+
+    def __contains__(self, x) -> bool:
+        return self.id_of(x) >= 0
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def items(self):
+        """An iterator over the (element, distance) pairs in id order."""
+        return zip(self.elements, self.by_id)
+
+    def __len__(self) -> int:
+        return self._size
 
     def complete(self) -> np.ndarray:
         """Neighbour ids (one column per move, -1 outside the ball) of every
@@ -570,12 +544,13 @@ class Ball(IdTable):
 class FactorCosets:
     """The left cosets x H_i of factor i that meet a ball, by integer key.
 
-    The key of a coset is the id of its canonical representative (x with
-    any trailing i-syllable stripped): the element's ``prefix`` where its
-    last syllable lies in factor i, its own id otherwise (an off-ball
-    prefix keys by its node id, past the ball).  ``key[id]`` is the key of
-    the element's coset, ``first[key]`` the distance of its nearest ball
-    member, and ``members(key)`` its ids in BFS order.  ``nearest(key)``
+    The key of a coset is the id of its canonical representative's node
+    (``Ball.coset_key``: x with any trailing i-syllable stripped): the
+    element's ``prefix`` where its last syllable lies in factor i, its own
+    id otherwise, and past the ball where the representative lies off it.
+    ``key[id]`` is the key of the element's coset, ``first[key]`` the
+    distance of its nearest ball member (-1, or no entry, for a key with no
+    ball member), and ``members(key)`` its ids in BFS order.  ``nearest(key)``
     and ``points(key)`` decode a coset's nearest members and all of its
     members once per key, on first use, so only the keys a run asks for
     are ever decoded.

@@ -27,9 +27,9 @@ Projection routes:
   least certified minimizer in BFS mode;
 * ``project_block(P, xs)``: ``project`` for each x, None where it is not
   certified.  Exact mode reads each gate off the syllables of x, with no
-  element products; BFS mode reads the id of every x^-1 rep off one walk
-  (below) and the nearest ball members of its coset, decoded once per
-  coset key (``FactorCosets.nearest``), so a cell forms only its x*g;
+  element products; BFS mode reads the id of every x^-1 rep from one
+  lookup (below) and the nearest ball members of its coset, decoded once
+  per coset key (``FactorCosets.nearest``), so a cell forms only its x*g;
 * ``coset_minimizers(P, x)``: the whole certified minimizing set, by an
   explicit scan in exact mode and the nearest members of x^-1 P in BFS
   mode.
@@ -38,13 +38,15 @@ Exact blocks never multiply elements: both inputs are encoded by syllable
 ids (a normal form is a path in the Bass-Serre tree of the free product), a
 running equality mask over the id columns counts the shared leading
 syllables, and numpy reads each distance from the tails past them
-(``_prefix_block``).  BFS blocks are walks in the indexed ball: the id of
-x^-1 y is reached from x^-1 along the parent moves of y, one gather per
-move over all cells (``Ball.walk``), and d(x, P) is the distance of the
-nearest ball member of the coset of x^-1 rep.  A cell whose walk leaves the
-ball falls back to the scalar path.  The scalar ``distance``,
-``coset_distance`` and ``project`` are the reference every block is tested
-against.
+(``_prefix_block``).  Every BFS block reads its ids from one lookup
+(``BfsBackend._ids``): the id of x^-1 y is a walk in the indexed ball from
+x^-1 along the parent moves of y, one gather per move over all cells
+(``Ball.walk``), and only a cell whose walk leaves the recorded levels forms
+the product x^-1 y and looks it up.  d(x, P) is the distance of the nearest
+ball member of the coset of x^-1 rep; where x^-1 rep lies outside the ball
+that coset can still meet it, and the cell reads ``coset_distance``.  The
+scalar ``distance``, ``coset_distance`` and ``project`` are the reference
+every block is tested against.
 
 Both backends' ``geodesic`` is greedy: ``factor.greedy_moves``, per
 syllable in exact mode and over the ball's distances in BFS mode.
@@ -323,6 +325,7 @@ class BfsBackend:
     when ``x^-1 y`` lies inside the ball, and BFS distances in the on-the-fly
     graph are true Cayley distances.  The ball (``table``, a map element ->
     distance) is shared with every other holder of the same spec and radius.
+    The blocks read the ball ids of all their cells from one lookup, ``_ids``.
     """
 
     def __init__(self, spec: GroupSpec, radius: int, cap: int = DEFAULT_BALL_CAP):
@@ -343,7 +346,7 @@ class BfsBackend:
 
     def _coset_key(self, P: Coset, x: Element):
         """The ball's coset index of P's factor and the key of the coset
-        x^-1 P, -1 where that coset meets no node of the ball."""
+        x^-1 P, -1 where no node of the ball holds its representative."""
         spec = self.spec
         rep = coset_of(spec, mul(spec, inv(spec, x), P.rep), P.factor_index).rep
         return self.table.cosets(P.factor_index), self.table.coset_key(rep)
@@ -360,36 +363,40 @@ class BfsBackend:
     def distance(self, x: Element, y: Element) -> int:
         return self.table.by_id[self._id(x, y)]
 
-    def distance_block(self, xs, ys) -> np.ndarray:
-        """d(x, y) for x in ``xs`` (rows) and y in ``ys`` (columns), -1
-        outside the ball: the id of x^-1 y is a walk in the ball from x^-1
-        along the parent moves of y (``Ball.walk``).  A cell whose walk
-        leaves the ball falls back to the table lookup of x^-1 y."""
+    def _ids(self, xs, ts) -> np.ndarray:
+        """The ball id of x^-1 t for x in ``xs`` (rows) and t in ``ts``
+        (columns), -1 outside the ball: a walk in the ball from x^-1 along
+        the parent moves of t (``Ball.walk``), and the lookup of the product
+        x^-1 t only in the cells where the walk leaves the recorded levels."""
         spec, table = self.spec, self.table
         xis = [inv(spec, x) for x in xs]
-        ends = table.walk([table.id_of(xi) for xi in xis], [table.id_of(y) for y in ys])
-        out = table.dist[ends]  # cells with ends -1 are all refilled below
-        for r in np.flatnonzero((ends < 0).any(axis=1)).tolist():
-            cols = np.flatnonzero(ends[r] < 0)
-            out[r, cols] = [table.get(mul(spec, xis[r], ys[c]), -1) for c in cols.tolist()]
+        ids = table.walk([table.id_of(xi) for xi in xis], [table.id_of(t) for t in ts])
+        for r in np.flatnonzero((ids < 0).any(axis=1)).tolist():
+            cols = np.flatnonzero(ids[r] < 0)
+            ids[r, cols] = [table.id_of(mul(spec, xis[r], ts[c])) for c in cols.tolist()]
+        return ids
+
+    def distance_block(self, xs, ys) -> np.ndarray:
+        """d(x, y) for x in ``xs`` (rows) and y in ``ys`` (columns), -1
+        outside the ball: the distance of the ball id of x^-1 y (``_ids``)."""
+        ids = self._ids(xs, ys)
+        out = self.table.dist[ids]
+        out[ids < 0] = -1
         return out
 
     def coset_distance_block(self, cosets, xs) -> np.ndarray:
         """d(x, P) for P in ``cosets`` (rows) and x in ``xs`` (columns), -1
-        where the minimum is not certified: the coset x^-1 P of the ball
-        element x^-1 rep (a walk, as in ``distance_block``) and the distance
-        of its nearest ball member.  A cell whose walk leaves the ball falls
-        back to ``coset_distance``."""
-        spec, table = self.spec, self.table
-        ends = table.walk(
-            [table.id_of(inv(spec, x)) for x in xs], [table.id_of(P.rep) for P in cosets]
-        ).T
-        out = np.empty(ends.shape, dtype=np.int32)
-        for i in sorted({P.factor_index for P in cosets}):
-            rows = [r for r, P in enumerate(cosets) if P.factor_index == i]
-            index = table.cosets(i)
-            out[rows] = index.first[index.key[ends[rows]]]  # -1 cells refilled below
-        for r, c in zip(*np.nonzero(ends < 0)):
+        where the minimum is not certified: the distance of the nearest ball
+        member of the coset of x^-1 rep (``_ids``).  Where x^-1 rep lies
+        outside the ball its coset can still meet the ball, and the cell
+        reads ``coset_distance``."""
+        table = self.table
+        ids = self._ids(xs, [P.rep for P in cosets]).T
+        out = np.empty(ids.shape, dtype=np.int32)
+        for r, P in enumerate(cosets):
+            index = table.cosets(P.factor_index)
+            out[r] = index.first[index.key[ids[r]]]  # -1 cells refilled below
+        for r, c in zip(*np.nonzero(ids < 0)):
             try:
                 out[r, c] = self.coset_distance(cosets[r], xs[c])
             except OutOfRangeError:
@@ -430,23 +437,10 @@ class BfsBackend:
         return min((mul(spec, x, g) for g in nearest), key=lambda p: sort_key(spec, p))
 
     def project_block(self, P: Coset, xs) -> list:
-        """``project`` for each x, None where it is not certified: the id of
-        x^-1 rep is a walk in the ball from x^-1 along the parent moves of
-        rep (``Ball.walk``), so a cell forms only its output products.  A
-        cell whose walk leaves the ball falls back to ``project``."""
-        table = self.table
-        starts = [table.id_of(inv(self.spec, x)) for x in xs]
-        ends = table.walk(starts, [table.id_of(P.rep)])[:, 0].tolist()
-        out = []
-        for x, j in zip(xs, ends):
-            if j >= 0:
-                out.append(self._least(P, x, j))
-                continue
-            try:
-                out.append(self.project(P, x))
-            except OutOfRangeError:
-                out.append(None)
-        return out
+        """``project`` for each x, None where x^-1 rep lies outside the ball:
+        ``_least`` over the ball id of each x^-1 rep (``_ids``)."""
+        ids = self._ids(xs, [P.rep])[:, 0].tolist()
+        return [None if j < 0 else self._least(P, x, j) for x, j in zip(xs, ids)]
 
     def coset_distance(self, P: Coset, x: Element) -> int:
         """d(x, P): ``first`` of the coset x^-1 P, read with no decode."""

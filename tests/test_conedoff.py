@@ -337,15 +337,22 @@ def test_window_matches_dict_bfs(request, group, radius):
     spec = request.getfixturevalue(group)
     hb = ConedOffBackend(spec, radius=radius)
     hat, predecessors = _dict_window(spec, radius)
-    assert dict(hb.hat_table.items()) == hat
+    assert dict(zip(hb.gtable, hb._hat)) == hat
     for v, d in hat.items():
         assert hb._predecessors(v, d) == predecessors(v, d)
     targets = list(ball(spec, 4))
     got = [_refused_or(hb.enumerate_geodesics, IDENTITY, w, 10_000) for w in targets]
-    hb.hat_table, hb._predecessors = hat, predecessors
+    hb._window_value, hb._predecessors = lambda w: _dict_value(hat, w), predecessors
     expected = [_refused_or(hb.enumerate_geodesics, IDENTITY, w, 10_000) for w in targets]
     assert got == expected
     assert any(found != "refused" and len(found[0]) > 1 for found in got)
+
+
+def _dict_value(hat, w):
+    """``_window_value`` read from the dict BFS: refused outside the window."""
+    if w not in hat:
+        raise OutOfRangeError("target outside the window")
+    return hat[w]
 
 
 def _walk_back(hb, x, y):
@@ -357,7 +364,7 @@ def _walk_back(hb, x, y):
     hb.distance(x, y)
     v = mul(spec, inv(spec, x), y)
     vertices, edges = [v], []
-    d = hb.hat_table[v]
+    d = hb._window_value(v)
     while d > 0:
         v, edge = hb._predecessors(v, d)[0]
         vertices.append(v)

@@ -296,11 +296,13 @@ def test_ball_matches_dict_bfs(request, name, radius, data):
     # the same elements and distances in the same order; each id's parent
     # times its parent move is the element, and the neighbour ids (the last
     # level's after ``complete``) are the reference ids of the products, -1
-    # outside, where ``id_of`` gives -1 too.  Each coset key is the id of
-    # the coset's canonical representative (past the ball by a first-seen
-    # rank when that lies outside), with its nearest distance.  "drawn" is
-    # a standard set of 2-3 factors at a radius of at most 5, and
-    # "drawn-extended" one with extra words at a radius of at most 4.
+    # outside, where ``id_of`` gives -1 too.  Two elements share a coset key
+    # exactly when their canonical representatives are equal.  The key is
+    # the representative's ``coset_key``: its id in the ball, or a distinct
+    # id past the ball when it lies outside.  ``first`` reads the least
+    # distance in the coset.  "drawn" is a standard set of 2-3 factors at a
+    # radius of at most 5, and "drawn-extended" one with extra words at a
+    # radius of at most 4.
     if name in DRAWN_SPECS:
         spec, radius = data.draw(DRAWN_SPECS[name]()), data.draw(st.integers(0, radius))
         try:
@@ -325,18 +327,17 @@ def test_ball_matches_dict_bfs(request, name, radius, data):
         products = [mul(spec, x, g) for g in moves]
         assert steps[j].tolist() == [ids.get(y, -1) for y in products]
         outside += [y for y in products if y not in ids]
-    extra = {}
-    for x in reference:
-        if x and x[:-1] not in ids:
-            extra.setdefault(x[:-1], len(ids) + len(extra))
     for i in range(len(spec.factors)):
         reps = [x[:-1] if x and x[-1][0] == i else x for x in reference]
-        key = [ids[rep] if rep in ids else extra[rep] for rep in reps]
+        cosets = got.cosets(i)
+        key = cosets.key.tolist()
+        assert len(set(zip(reps, key))) == len(set(reps)) == len(set(key))
+        for rep, k in zip(reps, key):
+            assert k == ids[rep] if rep in ids else k >= len(ids)
+            assert got.coset_key(rep) == k
         first = [-1] * (max(key) + 1)
         for k, d in zip(key, reference.values()):
-            first[k] = d if first[k] < 0 else first[k]
-        cosets = got.cosets(i)
-        assert cosets.key.tolist() == key
+            first[k] = d if first[k] < 0 else min(first[k], d)
         assert cosets.first.tolist() == first
     assert all(got.id_of(y) == -1 for y in outside)
 

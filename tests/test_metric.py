@@ -334,13 +334,25 @@ def _dict_coset_distance_block(backend, cosets, xs):
     return out
 
 
-@pytest.mark.parametrize("name", ["ext_bfs8", "zxz2_bfs6", "c2c3_bfs10"])
+@pytest.fixture(scope="module")
+def c3c5_offball_bfs3():
+    # the intermediate products of the word moves leave nodes off the ball
+    # that prefix ball elements, so some coset keys lie past the ball
+    factors = [CyclicFactor(3, "a", peripheral=True), CyclicFactor(5, "b", peripheral=True)]
+    base = GroupSpec(factors)
+    words = [("p", parse_element(base, "a b a b")), ("q", parse_element(base, "a b^2 a"))]
+    return BfsBackend(GroupSpec(factors, extra_generators=words, name="c3c5-pq"), 3)
+
+
+@pytest.mark.parametrize("name", ["ext_bfs8", "zxz2_bfs6", "c2c3_bfs10", "c3c5_offball_bfs3"])
 def test_bfs_blocks_match_dict_loop(request, name):
     # the walks against the dict loops on an exhaustive ball past half the
     # radius plus elements outside the ball, where a walk leaves the ball
     # in cells whose value is still certified
     backend = request.getfixturevalue(name)
     spec, table = backend.spec, backend.table
+    if name == "c3c5_offball_bfs3":
+        assert any(table.cosets(i).key.max() >= len(table) for i in spec.peripheral_indices)
     outside = [w for w in ball(spec, backend.radius + 1) if w not in table][:25]
     xs = list(ball(spec, backend.radius // 2 + 1)) + outside
     starts = [table.id_of(inv(spec, x)) for x in xs]
