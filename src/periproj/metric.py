@@ -14,12 +14,12 @@ Two interchangeable backends answer the same metric interface:
 
 The interface: ``distance`` and ``geodesic``; the blocks ``distance_block(xs,
 ys)`` and ``coset_distance_block(cosets, xs)`` as int32 arrays with -1 where a
-value is not certified; and the coset queries ``coset_points``,
-``coset_minimizers``, ``project``, ``project_block`` and ``coset_distance``.
-The suites never choose between the two modes; the generating set picks the
-backend, and only the CLI's samplers and oracle suite differ by mode.  The
-backend methods are the only way to reach the closed forms, so the oracle
-and the suites check the same code.
+value is not certified; and the coset queries ``coset_points``, ``project``,
+``project_block`` and ``coset_distance``.  The suites never choose between
+the two modes; the generating set picks the backend, and only the CLI's
+samplers and oracle suite differ by mode.  The backend methods are the only
+way to reach the closed forms, so the oracle and the suites check the same
+code.
 
 Projection routes:
 
@@ -29,10 +29,7 @@ Projection routes:
   certified.  Exact mode reads each gate off the syllables of x, with no
   element products; BFS mode reads the id of every x^-1 rep from one
   lookup (below) and the nearest ball members of its coset, decoded once
-  per coset key (``FactorCosets.nearest``), so a cell forms only its x*g;
-* ``coset_minimizers(P, x)``: the whole certified minimizing set, by an
-  explicit scan in exact mode and the nearest members of x^-1 P in BFS
-  mode.
+  per coset key (``FactorCosets.nearest``), so a cell forms only its x*g.
 
 Exact blocks never multiply elements: both inputs are encoded by syllable
 ids (a normal form is a path in the Bass-Serre tree of the free product), a
@@ -233,48 +230,6 @@ class ExactBackend:
             for h in f.elements_of_length(level)
         ]
 
-    def coset_minimizers(self, P: Coset, x: Element, limit: int | None = None):
-        """(d(x, P), the points of P at that distance), by an explicit scan of
-        the coset level by level in the factor, with a stopping bound.
-
-        d(x, rep*h) = base + len_f(h^-1 h0) where w = rep^-1 x = h0 * w' and
-        base = |w'|; a point at factor level l is at distance >= base + l - len_f(h0),
-        so levels beyond m - base + len_f(h0) cannot improve on a found minimum m.
-        Raises OutOfRangeError when the minimum is not below ``limit``.
-        """
-        spec = self.spec
-        i = P.factor_index
-        f = spec.factors[i]
-        w = mul(spec, inv(spec, P.rep), x)
-        if w and w[0][0] == i:
-            h0 = w[0][1]
-        else:
-            h0 = f.identity
-        len_h0 = f.length(h0)
-        base = syllable_length(spec, w) - len_h0
-        best = None
-        best_points: list[Element] = []
-        level = 0
-        diam = f.diameter()
-        while True:
-            if best is not None and base + level - len_h0 > best:
-                break
-            if diam is not None and level > diam:
-                break
-            for h in f.elements_of_length(level):
-                d = base + f.length(f.mul(f.inv(h), h0))
-                if best is None or d < best:
-                    best = d
-                    best_points = [coset_member(spec, P, h)]
-                elif d == best:
-                    best_points.append(coset_member(spec, P, h))
-            level += 1
-        if limit is not None and best >= limit:
-            raise OutOfRangeError(
-                f"coset minimum {best} not certified within search radius {limit}"
-            )
-        return best, best_points
-
     def project(self, P: Coset, x: Element) -> Element:
         """The gate: rep times the leading P-syllable of rep^-1 x, else rep."""
         spec = self.spec
@@ -344,13 +299,6 @@ class BfsBackend:
         key = self.table.coset_key(P.rep)  # key -1 (no node) lists no member
         return list(self.table.cosets(P.factor_index).points(key))
 
-    def _coset_key(self, P: Coset, x: Element):
-        """The ball's coset index of P's factor and the key of the coset
-        x^-1 P, -1 where no node of the ball holds its representative."""
-        spec = self.spec
-        rep = coset_of(spec, mul(spec, inv(spec, x), P.rep), P.factor_index).rep
-        return self.table.cosets(P.factor_index), self.table.coset_key(rep)
-
     def _id(self, x: Element, y: Element) -> int:
         """The ball id of x^-1 y; OutOfRangeError outside the ball."""
         j = self.table.id_of(mul(self.spec, inv(self.spec, x), y))
@@ -403,23 +351,6 @@ class BfsBackend:
                 out[r, c] = -1
         return out
 
-    def coset_minimizers(self, P: Coset, x: Element, limit: int | None = None):
-        """(d(x, P), the points x*g of P at that distance), certified when the
-        distance |g| is below ``limit``, clamped to radius + 1.
-
-        x*g lies in P exactly when g lies in the coset x^-1 P, and the ball
-        members of that coset are listed in BFS order, so the first members
-        listed are the minimizers (``FactorCosets.nearest``), in the order a
-        scan of the ball's distance shells would meet them.
-        """
-        if limit is None or limit > self.radius + 1:
-            limit = self.radius + 1
-        index, key = self._coset_key(P, x)
-        best = index.distance(key)
-        if best < 0 or best >= limit:
-            raise OutOfRangeError(f"no coset point within {limit - 1} of x")
-        return best, [mul(self.spec, x, g) for g in index.nearest(key)]
-
     def project(self, P: Coset, x: Element) -> Element:
         """The least (by ``sort_key``) of the certified minimizers, where
         x^-1 rep lies in the ball: x*g for the nearest ball members g of the
@@ -443,9 +374,11 @@ class BfsBackend:
         return [None if j < 0 else self._least(P, x, j) for x, j in zip(xs, ids)]
 
     def coset_distance(self, P: Coset, x: Element) -> int:
-        """d(x, P): ``first`` of the coset x^-1 P, read with no decode."""
-        index, key = self._coset_key(P, x)
-        best = index.distance(key)
+        """d(x, P): ``first`` of the coset x^-1 P, read with no decode; its
+        key is -1 where no node of the ball holds its representative."""
+        spec, i = self.spec, P.factor_index
+        rep = coset_of(spec, mul(spec, inv(spec, x), P.rep), i).rep
+        best = self.table.cosets(i).distance(self.table.coset_key(rep))
         if best < 0:
             raise OutOfRangeError(f"no coset point within {self.radius} of x")
         return best

@@ -15,11 +15,6 @@ Projection routes:
   followed by an ``i``-syllable, else rep), with no products; in BFS mode it
   walks to every x^-1 rep in the ball at once and reads the nearest members
   of its coset.  The ``ap`` and ``battery`` suites project this way.
-* the backend's ``coset_minimizers``: the certified set of distance
-  minimizers over the coset; the certificate guarantees the true minimum was
-  seen, or OutOfRangeError is raised.  With a BFS backend the minimizers are
-  the first ball members of x^-1 P in BFS order, translated by x, and
-  ``BfsBackend.project`` returns the least of them.
 * ``proj_entrypoint`` / ``proj_conedoff``: the first path vertex entering a
   neighborhood of the coset, along a metric geodesic or a coned-off geodesic
   (the paper's alternative projections); each returns that vertex alone.
@@ -41,7 +36,6 @@ from .group import (
     inv,
     mul,
     mul_syllable,
-    parse_element,
 )
 
 
@@ -63,17 +57,6 @@ def coset_of(spec: GroupSpec, x: Element, i: int) -> Coset:
 
 def coset_str(spec: GroupSpec, coset: Coset) -> str:
     return f"H{coset.factor_index} @ {element_str(spec, coset.rep)}"
-
-
-def parse_coset(spec: GroupSpec, text: str) -> Coset:
-    head, _, rep_text = text.partition("@")
-    head = head.strip()
-    if not head.startswith("H"):
-        raise InvalidFactorError(f"bad coset string: {text!r}")
-    i = int(head[1:])
-    _check_peripheral(spec, i)
-    rep = parse_element(spec, rep_text.strip())
-    return coset_of(spec, rep, i)
 
 
 def coset_member(spec: GroupSpec, coset: Coset, coord) -> Element:

@@ -83,9 +83,9 @@ def check_ap_axioms(
     ball.  The distances come from one block per kind and pass: sample
     pairs, sample to projection points, sample to coset points, and cosets
     to sample.  ap1p needs the true minimum d(x, P), which the coset block
-    is: the explicit scan of P minimizes base + len_f(h^-1 h0) at h = h0,
-    the closed form base = |rep^-1 x| - len(h0) of exact mode, and in BFS
-    mode both read the nearest ball member of the coset x^-1 P."""
+    is: with rep^-1 x = h0 w' for the leading P-syllable h0, d(x, rep h) =
+    |w'| + len_f(h^-1 h0) is least at h = h0, the closed form of exact
+    mode, and BFS mode reads the nearest ball member of the coset x^-1 P."""
     xs = list(ball(spec, sample_radius))
     cosets = cosets_meeting_ball(spec, ball(spec, coset_radius))
     n = len(xs)

@@ -24,7 +24,7 @@ from ..metric import quasigeodesic_constants
 from ..conedoff import lift
 from ..peripheral import cosets_meeting_ball, coset_str
 from .axioms import projection_ids
-from .sampling import SamplePlan, random_walk, seeded_pairs
+from .sampling import SamplePlan, random_element_by_length, random_walk, seeded_pairs
 
 
 @dataclass
@@ -411,7 +411,7 @@ def _concatenation(spec, backend, rng, paths, plan, row) -> None:
     (3, c)-quasi-geodesic; refused pairs of the glued path are left out."""
     candidates = [p for p in paths if p.kind in ("geodesic", "lift") and len(p.vertices) > 1]
     for path in candidates[: plan.n_pairs]:
-        q = _random_sample_element(spec, rng, plan)
+        q = random_element_by_length(spec, rng, plan.max_syllables, plan.max_syllable_len)
         to_q = backend.distance_block([q], path.vertices)[0]
         if (to_q < 0).any():
             row.skipped += 1
@@ -442,9 +442,3 @@ def _concatenation(spec, backend, rng, paths, plan, row) -> None:
                 "j": int(j[keep][w]),
                 "c": path.c,
             }
-
-
-def _random_sample_element(spec, rng, plan):
-    from .sampling import random_element_by_length
-
-    return random_element_by_length(spec, rng, plan.max_syllables, plan.max_syllable_len)

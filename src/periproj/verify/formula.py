@@ -31,9 +31,6 @@ class FormulaEval:
     def rhs(self, threshold: int) -> int:
         return self.rhs_by_l[threshold]
 
-    def included_terms(self, threshold: int) -> list:
-        return [(P, v) for P, v in self.terms if v > threshold]
-
 
 @dataclass
 class FitRow:

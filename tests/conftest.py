@@ -1,7 +1,8 @@
-"""Shared fixtures: the three reference groups and their backends.
+"""Shared fixtures: the three reference groups and their backends, and the
+closest-point reference ``ball_minimizers``.
 
-Session scope keeps the expensive BFS tables (notably the radius-8 ball of
-Z * Z^2) shared across test modules.
+Session scope keeps the expensive BFS tables (notably ``zxz2_bfs8``, the
+radius-8 ball of Z * Z^2) shared across test modules.
 """
 
 import pytest
@@ -14,8 +15,26 @@ from periproj import (
     FreeAbelianRank2Factor,
     GroupSpec,
     InfiniteCyclicFactor,
+    coset_of,
+    inv,
+    mul,
     parse_element,
 )
+
+
+def ball_minimizers(bfs, P, x):
+    """(d(x, P), the points x*g of P at that distance) read off the
+    exhaustive ball of the BFS backend ``bfs``: g runs over the nearest ball
+    members of the coset x^-1 P, which are the true minimizers because the
+    ball holds every element within its radius.  None when that coset has
+    no ball member."""
+    spec, table = bfs.spec, bfs.table
+    index = table.cosets(P.factor_index)
+    key = table.coset_key(coset_of(spec, mul(spec, inv(spec, x), P.rep), P.factor_index).rep)
+    d = index.distance(key)
+    if d < 0:
+        return None
+    return d, [mul(spec, x, g) for g in index.nearest(key)]
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +81,11 @@ def c2c3_bfs10(c2c3):
 @pytest.fixture(scope="session")
 def zxz2_bfs6(zxz2):
     return BfsBackend(zxz2, 6)
+
+
+@pytest.fixture(scope="session")
+def zxz2_bfs8(zxz2):
+    return BfsBackend(zxz2, 8)
 
 
 @pytest.fixture(scope="session")

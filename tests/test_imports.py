@@ -1,12 +1,15 @@
 """Source hygiene: no module under src/periproj imports a name it never
-uses, and no private definition there is left without a reference."""
+uses, no private definition there is left without a reference, and every
+public backend method has a caller there."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import periproj
+from periproj import BfsBackend, ConedOffBackend, ExactBackend
 
 SRC = Path(periproj.__file__).resolve().parent
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
@@ -53,3 +56,21 @@ def test_no_unreferenced_private_definitions():
                 referenced.add(node.attr)
     assert defined
     assert [f"{name} ({where})" for name, where in defined.items() if name not in referenced] == []
+
+
+def test_backend_methods_called_from_src():
+    # the metric interface is what the suites call: a backend method that
+    # only tests reach is a row every backend must answer for nothing
+    referenced = {
+        node.attr
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    uncalled = [
+        f"{cls.__name__}.{name}"
+        for cls in (ExactBackend, BfsBackend, ConedOffBackend)
+        for name, v in vars(cls).items()
+        if inspect.isfunction(v) and name[0] != "_" and name not in referenced
+    ]
+    assert uncalled == []

@@ -19,10 +19,13 @@ from periproj.verify import (
     estimate_dstg_constants,
     fit_formula_constants,
     lemma_battery,
+    random_element_by_length,
     seeded_pairs,
     thinness_scan,
     triangle_sample,
 )
+
+from conftest import ball_minimizers
 
 
 def test_ap_exact_zero_constants(c2c3, c2c3_exact):
@@ -257,21 +260,21 @@ class _RecordingBackend:
     [("zxz2_exact", (4, 3)), ("c2c3_ext_bfs8", (6, 3)), ("c2c3_ext_bfs4", (4, 3))],
 )
 def test_ap_coset_distances_match_scalar_minimizers(request, case, radii):
-    # the AP reads d(x, P) from one block; the loop it replaced took the
-    # minimum of an explicit scan per (coset, point), -1 where the scan
-    # refuses.  In exact mode the scan runs level by level over the factor,
-    # so this also checks the closed form against it
+    # the AP reads d(x, P) from one block; the reference is the nearest
+    # ball member of each coset x^-1 P, -1 where the ball meets none.  In
+    # exact mode d(x, P) <= 4 + 3, so the radius-8 ball holds every
+    # minimizer and this also checks the closed form against it
     backend = _ap_backend(request, case)
     recorder = _RecordingBackend(backend)
     check_ap_axioms(backend.spec, recorder, *radii)
     [(cosets, xs, block)] = recorder.blocks
+    reference = request.getfixturevalue("zxz2_bfs8") if case == "zxz2_exact" else backend
     ref = np.full((len(cosets), len(xs)), -1, dtype=np.int32)
     for r, P in enumerate(cosets):
         for c, x in enumerate(xs):
-            try:
-                ref[r, c] = backend.coset_minimizers(P, x)[0]
-            except OutOfRangeError:
-                pass
+            found = ball_minimizers(reference, P, x)
+            if found is not None:
+                ref[r, c] = found[0]
     assert np.array_equal(block, ref)
     assert (ref < 0).any() == isinstance(backend, BfsBackend)
 
@@ -285,7 +288,7 @@ def test_ap_leaves_out_rows_with_refused_projection_distance(c2c3_ext, ext_bfs8)
     for P in cosets_meeting_ball(c2c3_ext, ball(c2c3_ext, 2)):
         for x in ball(c2c3_ext, 4):
             try:
-                ext_bfs8.coset_minimizers(P, x)
+                ext_bfs8.coset_distance(P, x)
                 d = ext_bfs8.distance(x, ext_bfs8.project(P, x))
             except OutOfRangeError:
                 continue
@@ -690,7 +693,7 @@ def _scalar_large_gap(backend, path, dprof, pix, piy, gap, C, rows, witness):
 def _scalar_concatenation(spec, backend, rng, paths, plan, row):
     candidates = [p for p in paths if p.kind in ("geodesic", "lift") and len(p.vertices) > 1]
     for path in candidates[: plan.n_pairs]:
-        q = battery._random_sample_element(spec, rng, plan)
+        q = random_element_by_length(spec, rng, plan.max_syllables, plan.max_syllable_len)
         try:
             dmin, argmin = None, 0
             for i, v in enumerate(path.vertices):
@@ -810,7 +813,6 @@ def test_formula_worked_example(zxz2, zxz2_exact):
     assert sorted(v for _, v in ev.terms) == [5, 7]
     assert ev.rhs(4) == 16
     assert ev.rhs(6) == 11  # the 5-term drops at threshold 6
-    assert [v for _, v in ev.included_terms(4)] == [5, 7]
 
 
 def test_formula_trivial_pair(zxz2):
@@ -831,8 +833,6 @@ def test_formula_rhs_monotone_and_dominates_dhat(zxz2):
         values = [ev.rhs(L) for L in thresholds]
         assert values == sorted(values, reverse=True)
         assert all(v >= ev.dhat for v in values)
-        for L in thresholds:
-            assert all(v > L for _, v in ev.included_terms(L))
 
 
 def test_formula_estimate_uses_measured_slack(zxz2, zxz2_exact):
